@@ -1,9 +1,10 @@
 //! Observability must never change a scheduling decision.
 //!
-//! Runs every scheduler kind with the decision-trace recorder attached
-//! and asserts the schedule fingerprint is byte-identical to a plain
-//! run. Also pins a tiny golden trace for one deterministic run so the
-//! event vocabulary and ordering stay stable.
+//! Runs every scheduler kind with the decision-trace recorder attached,
+//! and again with the per-phase profiler attached, and asserts the
+//! schedule fingerprint is byte-identical to a plain run. Also pins a
+//! tiny golden trace for one deterministic run so the event vocabulary
+//! and ordering stay stable.
 
 use backfill_sim::prelude::*;
 use obs::trace::{Recorder, TraceKind};
@@ -56,6 +57,28 @@ fn recorder_is_decision_neutral() {
             assert!(
                 !recorder.borrow().events().is_empty(),
                 "recorder saw no events for {kind:?}/{policy:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn phase_profiling_is_decision_neutral_for_every_kind() {
+    let trace = noisy_trace();
+    for kind in kinds() {
+        for policy in [Policy::Fcfs, Policy::Sjf, Policy::XFactor] {
+            let plain = simulate(&trace, kind, policy);
+            let phases = Rc::new(RefCell::new(obs::PhaseAcc::new()));
+            let (profiled, _) = simulate_observed(
+                &trace,
+                kind,
+                policy,
+                SimOptions::with_phases(phases.clone()),
+            );
+            assert_eq!(
+                plain.fingerprint(),
+                profiled.fingerprint(),
+                "phase profiling changed decisions for {kind:?}/{policy:?}"
             );
         }
     }

@@ -18,7 +18,7 @@ use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
-use simcore::{JobId, SimTime};
+use simcore::{JobId, SimSpan, SimTime};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
@@ -37,10 +37,17 @@ pub struct DepthScheduler {
     queue: SchedQueue,
     running: HashMap<JobId, Running>,
     /// Mirror of the running set's remaining estimated occupancy, updated
-    /// on every start and completion instead of rebuilt per event.
+    /// on every start and completion instead of rebuilt per event. During
+    /// a pass it also holds the pass's reservations.
     cached: Profile,
-    /// Accumulated counters from the throwaway per-event profiles.
+    /// Scheduler-level counters (passes, rebuilds avoided) that
+    /// `profile_stats` merges with the cached profile's own.
     stats: ProfileStats,
+    /// Opt-in per-phase profiling accumulator (strictly observational).
+    phases: Option<obs::SharedPhases>,
+    /// The reservations placed by the current pass, `(anchor, estimate,
+    /// width)`, released again when it ends; kept to reuse its buffer.
+    planned: Vec<(SimTime, SimSpan, u32)>,
 }
 
 impl DepthScheduler {
@@ -58,6 +65,8 @@ impl DepthScheduler {
             running: HashMap::new(),
             cached: Profile::new(capacity),
             stats: ProfileStats::default(),
+            phases: None,
+            planned: Vec::new(),
         }
     }
 
@@ -104,9 +113,7 @@ impl DepthScheduler {
             return Decisions::start(starts);
         }
 
-        // Phase 2: the top `depth` blocked jobs receive reservations, in
-        // priority order, each at its earliest anchor given the running
-        // jobs and the reservations placed before it.
+        self.stats.compress_passes += 1; // one replanning pass per event
         #[cfg(debug_assertions)]
         {
             self.stats.profile_rebuilds += 1;
@@ -117,29 +124,52 @@ impl DepthScheduler {
             );
         }
         self.stats.profile_rebuilds_avoided += 1;
-        let mut profile = self.cached.clone();
-        profile.reset_stats();
+
+        // Phase 3 only starts jobs past the protected prefix that fit in
+        // the free processors, and `free` only shrinks during the pass: if
+        // there is none, the reservations could change no decision.
         let protected = self.depth.min(self.queue.len());
+        if !self
+            .queue
+            .iter()
+            .skip(protected)
+            .any(|j| j.width <= self.free)
+        {
+            return Decisions::start(starts);
+        }
+
+        // Phase 2: the top `depth` blocked jobs receive reservations, in
+        // priority order, each at its earliest anchor given the running
+        // jobs and the reservations placed before it. They go straight
+        // into the cached running profile for the duration of the pass.
+        let mut planned = std::mem::take(&mut self.planned);
         for job in self.queue.iter().take(protected) {
-            let anchor = profile.find_anchor(now, job.estimate, job.width);
-            profile.reserve(anchor, job.estimate, job.width);
+            let anchor = self.cached.find_anchor(now, job.estimate, job.width);
+            self.cached.reserve(anchor, job.estimate, job.width);
+            planned.push((anchor, job.estimate, job.width));
         }
 
         // Phase 3: the rest may backfill iff their rectangle fits *now*
-        // without touching any reservation.
+        // without touching any reservation. `start` adds each accepted
+        // backfill to the profile, so later candidates see it.
+        let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
         let mut i = protected;
         while i < self.queue.len() {
             let cand = self.queue[i];
-            if cand.width <= self.free && profile.fits(now, cand.estimate, cand.width) {
-                profile.reserve(now, cand.estimate, cand.width);
+            if cand.width <= self.free && self.cached.fits(now, cand.estimate, cand.width) {
                 self.queue.remove(i);
                 self.start(cand, now, &mut starts);
             } else {
                 i += 1;
             }
         }
-        self.stats.compress_passes += 1; // one replanning pass per event
-        self.stats.absorb(&profile.stats());
+        // The pass is over: the protected jobs are not running, so their
+        // rectangles leave the running profile again.
+        for (anchor, estimate, width) in planned.drain(..) {
+            self.cached.release(anchor, estimate, width);
+        }
+        self.planned = planned;
+        obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
         Decisions::start(starts)
     }
 }
@@ -180,6 +210,10 @@ impl Scheduler for DepthScheduler {
         stats.absorb(&self.cached.stats());
         self.queue.counters().merge_into(&mut stats);
         Some(stats)
+    }
+
+    fn set_phases(&mut self, phases: obs::SharedPhases) {
+        self.phases = Some(phases);
     }
 }
 
@@ -271,6 +305,26 @@ mod tests {
         assert!(
             got.starts.is_empty(),
             "depth 2 must protect the second reservation"
+        );
+    }
+
+    #[test]
+    fn pass_leaves_only_running_jobs_in_cached_profile() {
+        let mut s = DepthScheduler::new(8, Policy::Fcfs, 2);
+        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
+        s.on_arrival(meta(1, 1, 100, 6), SimTime::new(1)); // reserved at 100
+        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // reserved at 200
+        let d = s.on_arrival(meta(3, 3, 50, 2), SimTime::new(3)); // backfills
+        assert_eq!(d.starts, vec![JobId(3)]);
+        let mut running = Profile::new(8);
+        running.reserve(SimTime::ZERO, SimSpan::new(100), 6);
+        running.reserve(SimTime::new(3), SimSpan::new(50), 2);
+        assert!(s.cached.same_future(&running, SimTime::new(3)));
+        let stats = s.profile_stats().unwrap();
+        assert_eq!(
+            stats.reserves - stats.releases,
+            2,
+            "every planned rectangle is released at the end of its pass"
         );
     }
 

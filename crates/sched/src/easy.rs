@@ -48,7 +48,8 @@ pub struct EasyScheduler {
     /// on every start and completion instead of rebuilt per event. The
     /// rebuild stays as a debug-mode differential reference.
     cached: Profile,
-    /// Accumulated counters from the throwaway per-event profiles.
+    /// Scheduler-level counters (passes, rebuilds avoided, scratch reuses)
+    /// that `profile_stats` merges with the cached profile's own.
     stats: ProfileStats,
     /// Opt-in decision-trace recorder (strictly observational).
     recorder: Option<SharedRecorder>,

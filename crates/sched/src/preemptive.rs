@@ -47,6 +47,7 @@ pub struct PreemptiveScheduler {
     running: HashMap<JobId, Running>,
     /// Mirror of the running set's remaining estimated occupancy, updated
     /// on starts, completions and preemptions instead of rebuilt per event.
+    /// During a pass it also holds the pivot's reservation.
     cached: Profile,
     /// Times a job has been suspended so far (sticky across resumes).
     suspended_count: HashMap<JobId, u32>,
@@ -59,8 +60,11 @@ pub struct PreemptiveScheduler {
     min_run: SimSpan,
     /// Per-job suspension cap.
     max_preemptions: u32,
-    /// Accumulated counters from the throwaway per-event profiles.
+    /// Scheduler-level counters (passes, rebuilds avoided) that
+    /// `profile_stats` merges with the cached profile's own.
     stats: ProfileStats,
+    /// Opt-in per-phase profiling accumulator (strictly observational).
+    phases: Option<obs::SharedPhases>,
 }
 
 impl PreemptiveScheduler {
@@ -85,6 +89,7 @@ impl PreemptiveScheduler {
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
             stats: ProfileStats::default(),
+            phases: None,
         }
     }
 
@@ -136,13 +141,21 @@ impl PreemptiveScheduler {
     /// Pick victims (lowest priority first) freeing enough processors for
     /// `needed`, honouring the safeguards. Returns `None` if impossible.
     fn pick_victims(&self, needed: u32, now: SimTime) -> Option<Vec<JobId>> {
-        let mut candidates: Vec<&Running> = self
+        let eligible = |r: &&Running| {
+            now.since(r.started_at) >= self.min_run && r.preemptions < self.max_preemptions
+        };
+        // Suspending every eligible runner is the most any victim set can
+        // free; if even that falls short, skip the collect and the sort.
+        let most: u32 = self
             .running
             .values()
-            .filter(|r| {
-                now.since(r.started_at) >= self.min_run && r.preemptions < self.max_preemptions
-            })
-            .collect();
+            .filter(eligible)
+            .map(|r| r.meta.width)
+            .sum();
+        if self.free + most < needed {
+            return None;
+        }
+        let mut candidates: Vec<&Running> = self.running.values().filter(eligible).collect();
         // Lowest priority last in `compare` order; victimize from the back.
         candidates.sort_by(|a, b| self.policy.compare(&a.meta, &b.meta, now));
         let mut victims = Vec::new();
@@ -154,7 +167,8 @@ impl PreemptiveScheduler {
             victims.push(r.meta.id);
             freed += r.meta.width;
         }
-        (freed >= needed).then_some(victims)
+        debug_assert!(freed >= needed);
+        Some(victims)
     }
 
     fn reschedule(&mut self, now: SimTime) -> Decisions {
@@ -200,8 +214,9 @@ impl PreemptiveScheduler {
             };
         }
 
-        // EASY phases 2–3: pivot reservation and backfilling.
-        let pivot = self.queue[0];
+        // EASY phases 2–3: pivot reservation and backfilling, run against
+        // the cached running profile exactly as `EasyScheduler` does.
+        self.stats.compress_passes += 1; // one replanning pass per event
         #[cfg(debug_assertions)]
         {
             self.stats.profile_rebuilds += 1;
@@ -212,23 +227,28 @@ impl PreemptiveScheduler {
             );
         }
         self.stats.profile_rebuilds_avoided += 1;
-        let mut profile = self.cached.clone();
-        profile.reset_stats();
-        let anchor = profile.find_anchor(now, pivot.estimate, pivot.width);
-        profile.reserve(anchor, pivot.estimate, pivot.width);
-        let mut i = 1;
-        while i < self.queue.len() {
-            let cand = self.queue[i];
-            if cand.width <= self.free && profile.fits(now, cand.estimate, cand.width) {
-                profile.reserve(now, cand.estimate, cand.width);
-                self.queue.remove(i);
-                self.start(cand, now, &mut starts);
-            } else {
-                i += 1;
+        // Phase 3 only starts jobs behind the pivot that fit in the free
+        // processors, and `free` only shrinks during the pass: if there is
+        // none, the pivot's reservation could change no decision.
+        if self.queue.iter().skip(1).any(|j| j.width <= self.free) {
+            let pivot = self.queue[0];
+            let anchor = self.cached.find_anchor(now, pivot.estimate, pivot.width);
+            self.cached.reserve(anchor, pivot.estimate, pivot.width);
+            let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
+            let mut i = 1;
+            while i < self.queue.len() {
+                let cand = self.queue[i];
+                if cand.width <= self.free && self.cached.fits(now, cand.estimate, cand.width) {
+                    self.queue.remove(i);
+                    self.start(cand, now, &mut starts);
+                } else {
+                    i += 1;
+                }
             }
+            // The pivot is not running: its rectangle leaves again.
+            self.cached.release(anchor, pivot.estimate, pivot.width);
+            obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
         }
-        self.stats.compress_passes += 1; // one replanning pass per event
-        self.stats.absorb(&profile.stats());
 
         // Wake when the head crosses the starvation threshold (so a quiet
         // machine still triggers the episode).
@@ -299,6 +319,10 @@ impl Scheduler for PreemptiveScheduler {
         stats.absorb(&self.cached.stats());
         self.queue.counters().merge_into(&mut stats);
         Some(stats)
+    }
+
+    fn set_phases(&mut self, phases: obs::SharedPhases) {
+        self.phases = Some(phases);
     }
 }
 

@@ -404,8 +404,7 @@ impl FitsCache {
 }
 
 /// Operation counters of one [`Profile`] (or aggregated over several — see
-/// [`ProfileStats::absorb`]). All counts are cumulative since creation or
-/// the last [`Profile::reset_stats`].
+/// [`ProfileStats::absorb`]). All counts are cumulative since creation.
 ///
 /// `serde(default)` keeps old serialized reports (e.g. `--baseline`
 /// files written before a counter existed) readable: missing counters
@@ -692,28 +691,6 @@ impl Profile {
             slab_slot_reuses: self.stats.slab_slot_reuses.get(),
             scratch_reuses: self.stats.scratch_reuses.get(),
         }
-    }
-
-    /// Zero the operation counters (the peak resets to the current size).
-    pub fn reset_stats(&self) {
-        self.stats.find_anchor_calls.set(0);
-        self.stats.segments_visited.set(0);
-        self.stats.tree_descents.set(0);
-        self.stats.tree_nodes_visited.set(0);
-        self.stats.tree_incremental_updates.set(0);
-        self.stats.tree_rebuilds.set(0);
-        self.stats.reserves.set(0);
-        self.stats.releases.set(0);
-        self.stats.compress_passes.set(0);
-        self.stats.peak_segments.set(self.order.len() as u64);
-        self.stats.queue_inserts.set(0);
-        self.stats.queue_sorts.set(0);
-        self.stats.queue_sorts_avoided.set(0);
-        self.stats.fits_cache_hits.set(0);
-        self.stats.fits_cache_misses.set(0);
-        self.stats.order_bytes_shifted.set(0);
-        self.stats.slab_slot_reuses.set(0);
-        self.stats.scratch_reuses.set(0);
     }
 
     /// Record one compression pass by the owning scheduler. The pass itself
@@ -1630,12 +1607,6 @@ mod tests {
             s.tree_incremental_updates + s.tree_rebuilds >= 3,
             "every mutation synchronizes the tree"
         );
-        p.reset_stats();
-        let s = p.stats();
-        assert_eq!(s.find_anchor_calls, 0);
-        assert_eq!(s.reserves, 0);
-        assert_eq!(s.tree_rebuilds, 0);
-        assert_eq!(s.peak_segments, p.segments().len() as u64);
     }
 
     #[test]
@@ -1645,9 +1616,15 @@ mod tests {
             p.reserve(t(i * 100), d(50), 1 + (i % 7) as u32);
         }
         assert!(p.segments().len() > SMALL);
-        p.reset_stats();
+        let before = p.stats();
         p.find_anchor(t(0), d(10_000), 8);
-        let s = p.stats();
+        let after = p.stats();
+        let s = ProfileStats {
+            tree_descents: after.tree_descents - before.tree_descents,
+            tree_nodes_visited: after.tree_nodes_visited - before.tree_nodes_visited,
+            segments_visited: after.segments_visited - before.segments_visited,
+            ..ProfileStats::default()
+        };
         assert!(s.tree_descents > 0, "tree path must count descents");
         // Every descent touches at least its starting leaf, except a
         // probe past the final segment (which answers from bounds alone).

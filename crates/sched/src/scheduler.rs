@@ -99,9 +99,8 @@ pub trait Scheduler {
     fn queue_len(&self) -> usize;
 
     /// Cumulative availability-profile operation counters, if this
-    /// scheduler maintains a profile. Schedulers that keep a persistent
-    /// profile report it directly; ones that rebuild a throwaway profile
-    /// per event report the accumulated counters across all rebuilds.
+    /// scheduler maintains a profile: the persistent profile's own
+    /// counters, plus any scheduler-level ones (passes, queue work).
     /// Default: `None` (profile-free schedulers, e.g. plain FCFS).
     fn profile_stats(&self) -> Option<ProfileStats> {
         None

@@ -70,6 +70,8 @@ pub struct SlackScheduler {
     queue: Vec<Promise>,
     running: HashMap<JobId, Running>,
     free: u32,
+    /// Opt-in per-phase profiling accumulator (strictly observational).
+    phases: Option<obs::SharedPhases>,
 }
 
 impl SlackScheduler {
@@ -82,6 +84,7 @@ impl SlackScheduler {
             queue: Vec::new(),
             running: HashMap::new(),
             free: capacity,
+            phases: None,
         }
     }
 
@@ -123,29 +126,27 @@ impl SlackScheduler {
         self.queue
             .sort_by(|a, b| self.policy.compare(&a.meta, &b.meta, now));
         let mut deferred = false;
+        let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
         let mut i = 0;
         while i < self.queue.len() {
             let p = self.queue[i];
             let due = p.start <= now;
             if p.meta.width <= self.free {
-                // Can it start now without breaking any other promise?
-                // The release → fits → reserve probe of the job's own
-                // rectangle is needed only when that rectangle could change
-                // the answer: if the hole fits with the rectangle still in
-                // place, lifting it only adds capacity (still fits); if it
-                // does not fit and the rectangle is disjoint from the
-                // candidate window, lifting it cannot help.
-                let fits_now = if self.profile.fits(now, p.meta.estimate, p.meta.width) {
-                    true
-                } else if p.start < now + p.meta.estimate {
-                    self.profile.release(p.start, p.meta.estimate, p.meta.width);
-                    let fits = self.profile.fits(now, p.meta.estimate, p.meta.width);
-                    self.profile.reserve(p.start, p.meta.estimate, p.meta.width);
-                    fits
-                } else {
-                    false
-                };
-                if fits_now || due {
+                // Can it start now without breaking any other promise? A
+                // due job starts regardless. Otherwise its own rectangle
+                // sits at `p.start > now`, and lifting it would free
+                // `width` over `[p.start, p.start + estimate)`, which
+                // covers the candidate window from `p.start` on: only
+                // `[now, p.start)` can block it. So one read-only `fits`
+                // over that prefix answers what lifting the rectangle,
+                // probing and putting it back would.
+                let fits_now = due
+                    || self.profile.fits(
+                        now,
+                        p.meta.estimate.min(p.start.since(now)),
+                        p.meta.width,
+                    );
+                if fits_now {
                     let p = self.queue.remove(i);
                     // Starting ahead of the promise relocates the job's
                     // rectangle to `now`, which frees capacity at its old
@@ -166,6 +167,7 @@ impl SlackScheduler {
             }
             i += 1;
         }
+        obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
         let wakeup = if deferred && retry_same_instant {
             Some(now)
         } else if deferred {
@@ -242,6 +244,10 @@ impl Scheduler for SlackScheduler {
 
     fn profile_stats(&self) -> Option<ProfileStats> {
         Some(self.profile.stats())
+    }
+
+    fn set_phases(&mut self, phases: obs::SharedPhases) {
+        self.phases = Some(phases);
     }
 }
 

@@ -87,6 +87,40 @@ proptest! {
         prop_assert_eq!(p, snapshot);
     }
 
+    /// The read-only probe slack-based backfilling uses to ask whether a
+    /// queued job could start now: with the job's own `w × est` rectangle
+    /// reserved at `s >= now`, lifting it, probing at `now` and putting it
+    /// back answers exactly what `fits(now, min(est, s - now), w)` does on
+    /// the untouched profile — and neither leaves the profile changed.
+    #[test]
+    fn own_rectangle_probe_is_a_prefix_fits(
+        pre in proptest::collection::vec(rect(16), 0..20),
+        now in 0u64..4_000,
+        delay in 0u64..3_000,
+        est in 1u64..2_000,
+        w in 1u32..=16,
+    ) {
+        let cap = 16;
+        let mut p = Profile::new(cap);
+        for (e, d, rw) in pre {
+            let a = p.find_anchor(SimTime::new(e), SimSpan::new(d), rw);
+            p.reserve(a, SimSpan::new(d), rw);
+        }
+        let (now, est) = (SimTime::new(now), SimSpan::new(est));
+        let s = p.find_anchor(now + SimSpan::new(delay), est, w);
+        p.reserve(s, est, w);
+        let snapshot = p.clone();
+
+        let read_only = p.fits(now, est.min(s.since(now)), w);
+        prop_assert_eq!(&p, &snapshot);
+
+        p.release(s, est, w);
+        let probed = p.fits(now, est, w);
+        p.reserve(s, est, w);
+        prop_assert_eq!(&p, &snapshot);
+        prop_assert_eq!(read_only, probed, "own rectangle at {}, probe at {}", s, now);
+    }
+
     /// free_at is consistent with the segment representation and never
     /// exceeds capacity.
     #[test]
