@@ -64,9 +64,14 @@ fn bench_find_anchor_linear(c: &mut Criterion) {
     group.finish();
 }
 
+/// Reserve + release of one rectangle on a cloned profile. The profile
+/// keeps a segment tree only past 64 segments, so the cases span both
+/// regimes: 16 and 28 reservations leave 33 and 57 segments (no tree
+/// upkeep, even with the bench's own rectangle added), 128 and 1024 leave
+/// 254 and 1303 (live tree, synchronized on every mutation).
 fn bench_reserve_release(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile/reserve_release");
-    for &n in &[16usize, 128, 1024] {
+    for &n in &[16usize, 28, 128, 1024] {
         let p = dense_profile(n, 430, 42);
         group.bench_with_input(BenchmarkId::from_parameter(n), &p, |b, p| {
             let mut rng = SimRng::seed_from_u64(9);

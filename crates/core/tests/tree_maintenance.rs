@@ -1,15 +1,19 @@
 //! Differential test of incremental segment-tree maintenance under full
 //! simulations.
 //!
-//! The availability profile keeps its min/max segment tree synchronized
-//! incrementally (leaf + ancestor-path updates for value-only mutations,
-//! suffix re-derivation for structural ones). In debug builds every
-//! mutation ends in `debug_assert!(invariants_ok())`, and `invariants_ok`
-//! compares the tree's **per-node aggregates against a from-scratch
-//! rebuild** — so simply driving whole simulations here exercises that
-//! comparison after every reserve/release/trim of every event, for every
-//! scheduler kind and policy. The explicit `invariants_ok` spot-checks
-//! below keep the test meaningful even if debug assertions are off.
+//! The availability profile keeps a min/max segment tree only while it
+//! has more than 64 segments: the first mutation past that builds it, and
+//! later ones synchronize it incrementally (leaf + ancestor-path updates
+//! for value-only mutations, suffix re-derivation for structural ones)
+//! until the profile shrinks back and the tree goes stale. In debug builds
+//! every mutation ends in `debug_assert!(invariants_ok())`, and
+//! `invariants_ok` checks that the tree is live exactly past the cutoff
+//! and compares a live tree's **per-node aggregates against a
+//! from-scratch rebuild** — so simply driving whole simulations here
+//! exercises that check after every reserve/release/trim of every event,
+//! for every scheduler kind and policy. The large-profile property below
+//! grows a profile past the cutoff and checks the live tree explicitly,
+//! so it stays meaningful even if debug assertions are off.
 
 use backfill_sim::prelude::*;
 use proptest::prelude::*;

@@ -35,17 +35,18 @@
 //! * *range minimum* — the minimum free level over a window, which is the
 //!   entire `fits` question.
 //!
-//! Mutations keep the tree synchronized incrementally: a reserve/release
-//! that moves no segment boundary refreshes only the touched leaves and
-//! their O(log n) ancestor path (`SegTree::update_range`); one that
-//! inserts or removes a boundary re-derives the shifted suffix
+//! The tree is live only while the profile has more than `SMALL`
+//! segments. At or below that size `find_anchor` and the `fits` memo
+//! miss path plain-scan the segments (fewer instructions than descents
+//! for a handful of segments), so mutations there do no tree work at all
+//! and merely leave the tree stale. The first mutation that takes the
+//! profile past `SMALL` builds it once (`SegTree::rebuild`); from then on
+//! mutations keep it synchronized incrementally: a reserve/release that
+//! moves no segment boundary refreshes only the touched leaves and their
+//! O(log n) ancestor path (`SegTree::update_range`); one that inserts or
+//! removes a boundary re-derives the shifted suffix
 //! (`SegTree::resync_from`) — bounded by the O(n) index shift the order
-//! chain itself already paid for, and far cheaper than the old
-//! per-mutation rebuild of per-threshold run lists. Profiles at or below
-//! `SMALL` segments answer `find_anchor` with a plain scan (fewer
-//! instructions than the descents for a handful of segments); the tree is
-//! maintained at every size so `fits` and the invariant checks can always
-//! use it.
+//! chain itself already paid for.
 //!
 //! # The slab arena and the order chain
 //!
@@ -79,8 +80,9 @@
 //!
 //! Invariants (checked by `debug_assert` internally and by property tests):
 //! segments are strictly ordered in time, free counts stay within
-//! `[0, capacity]`, adjacent segments always differ (coalesced), and the
-//! tree's per-node aggregates equal a from-scratch rebuild.
+//! `[0, capacity]`, adjacent segments always differ (coalesced), the tree
+//! is live exactly when the profile has more than `SMALL` segments, and a
+//! live tree's per-node aggregates equal a from-scratch rebuild.
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimSpan, SimTime};
@@ -97,10 +99,11 @@ pub struct Segment {
     pub free: u32,
 }
 
-/// At or below this many segments `find_anchor` uses the plain scan: a
+/// At or below this many segments the profile keeps no segment tree:
+/// `find_anchor` and the `fits` memo miss path plain-scan, because a
 /// typical query resolves in a handful of segment visits, fewer
-/// instructions than two tree descents. (`fits` and the structural
-/// invariants use the tree at every size — it is always maintained.)
+/// instructions than two tree descents, and mutations skip the tree
+/// upkeep that nothing would read.
 const SMALL: usize = 64;
 
 /// Process-wide generation counter for silhouette tokens. Every profile
@@ -318,7 +321,8 @@ impl SegTree {
 /// * across mutations (a compression pass that moves a job and re-probes)
 ///   every memoized answer is dead on arrival, so rebuilding the O(n)
 ///   prefix table per probe is pure waste — those probes are answered by
-///   one O(log n) tree descent instead, and the table is rebuilt only
+///   one O(log n) tree descent instead (a plain window scan at or below
+///   `SMALL` segments), and the table is rebuilt only
 ///   once a second probe arrives against the *same* generation and left
 ///   edge (proof the profile has gone quiet).
 ///
@@ -414,7 +418,8 @@ impl FitsCache {
 pub struct ProfileStats {
     /// Calls to [`Profile::find_anchor`] (including via `fits`).
     pub find_anchor_calls: u64,
-    /// Segments examined one-by-one by plain (small-profile) scans.
+    /// Segments examined one-by-one by plain (small-profile) scans: the
+    /// `find_anchor` scan and the `fits` memo-miss window scan.
     pub segments_visited: u64,
     /// O(log n) segment-tree descents (anchor establishment, window
     /// verification, `fits` range probes).
@@ -425,8 +430,11 @@ pub struct ProfileStats {
     /// Mutations absorbed by leaf + ancestor-path updates (no segment
     /// boundary moved).
     pub tree_incremental_updates: u64,
-    /// Mutations that re-derived a suffix of the tree (or all of it):
-    /// boundary inserted/removed, or the past trimmed away.
+    /// Mutations that re-derived a suffix of the live tree (or all of
+    /// it): boundary inserted/removed, or the past trimmed away — plus the
+    /// single build each time the profile grows past `SMALL` segments.
+    /// Mutations at or below `SMALL` segments do no tree work and count
+    /// in neither this nor `tree_incremental_updates`.
     pub tree_rebuilds: u64,
     /// Calls to [`Profile::reserve`] that changed the profile.
     pub reserves: u64,
@@ -454,8 +462,9 @@ pub struct ProfileStats {
     /// `fits` queries answered from the memoized prefix minima.
     pub fits_cache_hits: u64,
     /// `fits` queries the memo could not answer (profile mutated or the
-    /// query's left edge moved); answered by a tree descent, or by the
-    /// memoizing rebuild on a repeat.
+    /// query's left edge moved); answered by a tree descent (a window
+    /// scan at or below `SMALL` segments), or by the memoizing rebuild on
+    /// a repeat.
     pub fits_cache_misses: u64,
     /// Bytes of order-chain index traffic from structural mutations
     /// (boundary inserts/removes, trims) — the 4-byte-per-segment shifts
@@ -495,9 +504,11 @@ impl ProfileStats {
         self.scratch_reuses += other.scratch_reuses;
     }
 
-    /// Mean segments examined per anchor search (0 if none ran). Counts
-    /// only plain-scan visits: past the cutoff the tree answers in
-    /// node touches, tracked by [`ProfileStats::nodes_per_descent`].
+    /// Mean segments examined per anchor search or `fits` query (0 if
+    /// none ran). Counts only plain-scan visits — `find_anchor` scans and
+    /// `fits` memo-miss window scans at or below `SMALL` segments: past
+    /// the cutoff the tree answers in node touches, tracked by
+    /// [`ProfileStats::nodes_per_descent`].
     pub fn segments_per_anchor(&self) -> f64 {
         if self.find_anchor_calls == 0 {
             0.0
@@ -576,9 +587,12 @@ pub struct Profile {
     /// to infinity. Structural mutations shift these 4-byte indices, not
     /// the 16-byte segments.
     order: Vec<u32>,
-    /// Min/max-augmented segment tree, positional over `order`, kept
-    /// synchronized by every mutation.
+    /// Min/max-augmented segment tree, positional over `order`. Read and
+    /// kept synchronized only while `tree_live`; stale otherwise.
     tree: SegTree,
+    /// Whether `tree` is in sync with `order` — true exactly while the
+    /// profile has more than `SMALL` segments (between mutations).
+    tree_live: bool,
     /// Process-globally-unique silhouette token, refreshed from
     /// [`GENERATION`] on every mutation; validates `fits_cache`.
     generation: u64,
@@ -588,9 +602,9 @@ pub struct Profile {
 
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
-        // The tree is a pure function of the segments, and the counters
-        // (plus the slab's slot assignment and free list) are
-        // representation: the silhouette alone defines identity.
+        // The tree (live or stale) and the counters (plus the slab's slot
+        // assignment and free list) are representation: the silhouette
+        // alone defines identity.
         self.capacity == other.capacity
             && self.order.len() == other.order.len()
             && (0..self.order.len()).all(|i| self.seg(i) == other.seg(i))
@@ -603,19 +617,16 @@ impl Profile {
     /// A fully free machine with `capacity` processors. Panics if zero.
     pub fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "profile needs positive capacity");
-        let slab = vec![Segment {
-            start: SimTime::ZERO,
-            free: capacity,
-        }];
-        let order = vec![0u32];
-        let mut tree = SegTree::default();
-        tree.rebuild(&slab, &order);
         let p = Profile {
             capacity,
-            slab,
+            slab: vec![Segment {
+                start: SimTime::ZERO,
+                free: capacity,
+            }],
             free_slots: Vec::new(),
-            order,
-            tree,
+            order: vec![0u32],
+            tree: SegTree::default(),
+            tree_live: false,
             generation: next_generation(),
             fits_cache: RefCell::new(FitsCache::default()),
             stats: Counters::default(),
@@ -760,7 +771,8 @@ impl Profile {
     /// Between mutations, answers come from the `FitsCache` prefix
     /// minima: one binary search per query. Immediately after a mutation
     /// the memo is dead, and the first probe is answered by one O(log n)
-    /// tree descent instead of an O(n) rebuild — a compression pass that
+    /// tree descent (a plain scan of the query window at or below `SMALL`
+    /// segments) instead of an O(n) rebuild — a compression pass that
     /// mutates between probes never rebuilds the memo at all, while a
     /// stable backfill scan re-memoizes on its second probe.
     pub fn fits(&self, start: SimTime, duration: SimSpan, width: u32) -> bool {
@@ -789,30 +801,43 @@ impl Profile {
         }
         cache.miss_generation = self.generation;
         cache.miss_from = start;
-        let mut nodes = 0u64;
-        let ok = self.fits_by_tree(start, end, width, &mut nodes);
-        bump(&self.stats.tree_descents, 1);
-        bump(&self.stats.tree_nodes_visited, nodes);
-        ok
+        self.fits_uncached(start, end, width)
     }
 
-    /// The `fits` question answered directly from the tree: the segment
-    /// hosting `start` (or the implicit free prefix) must be feasible, and
-    /// the minimum free level over the segments opening inside
-    /// `(start, end)` must be at least `width`. Two binary searches plus
-    /// one range-min descent.
-    fn fits_by_tree(&self, start: SimTime, end: SimTime, width: u32, nodes: &mut u64) -> bool {
+    /// The `fits` question answered without the memo: the segment hosting
+    /// `start` (or the implicit free prefix) must be feasible, and so must
+    /// every segment opening inside `(start, end)`. Past `SMALL` segments
+    /// their minimum comes from two binary searches plus one range-min
+    /// descent; at or below it, from a plain scan of the window.
+    fn fits_uncached(&self, start: SimTime, end: SimTime, width: u32) -> bool {
         let i0 = self.upper_bound(start);
         let host_free = if i0 == 0 {
             self.capacity
         } else {
             self.seg(i0 - 1).free
         };
-        if host_free < width {
-            return false;
+        if self.tree_live {
+            let mut nodes = 0u64;
+            let ok = host_free >= width && {
+                let j = self.lower_bound(end);
+                i0 >= j || self.tree.range_min(i0, j, &mut nodes) >= width
+            };
+            bump(&self.stats.tree_descents, 1);
+            bump(&self.stats.tree_nodes_visited, nodes);
+            ok
+        } else {
+            let mut visited = 0u64;
+            let ok = host_free >= width
+                && (i0..self.seg_count())
+                    .map(|pos| self.seg(pos))
+                    .take_while(|seg| seg.start < end)
+                    .all(|seg| {
+                        visited += 1;
+                        seg.free >= width
+                    });
+            bump(&self.stats.segments_visited, visited);
+            ok
         }
-        let j = self.lower_bound(end);
-        i0 >= j || self.tree.range_min(i0, j, nodes) >= width
     }
 
     fn assert_possible(&self, width: u32) {
@@ -848,7 +873,7 @@ impl Profile {
         // Probe counts accumulate in locals and hit the `Cell`s once per
         // call: the interior-mutability bookkeeping must stay off the scan
         // itself, which is the hottest loop in the simulator.
-        let anchor = if self.seg_count() <= SMALL {
+        let anchor = if !self.tree_live {
             let mut visited = 0u64;
             let anchor = self.scan_plain(earliest, duration, width, &mut visited);
             bump(&self.stats.segments_visited, visited);
@@ -1109,12 +1134,17 @@ impl Profile {
     }
 
     /// Post-mutation bookkeeping: fresh generation token (invalidating
-    /// the fits memo), tree synchronization — incremental when no segment
-    /// boundary moved, suffix re-derivation otherwise — and the peak
-    /// gauge.
+    /// the fits memo), tree upkeep and the peak gauge. At or below `SMALL`
+    /// segments the tree goes stale; crossing above it builds the tree
+    /// once; above it the live tree is synchronized — incrementally when
+    /// no segment boundary moved, by suffix re-derivation otherwise.
     fn after_mutation(&mut self, first: usize, last: usize, structural: bool) {
         self.generation = next_generation();
-        if structural {
+        if self.order.len() <= SMALL {
+            self.tree_live = false;
+        } else if !self.tree_live {
+            self.rebuild_tree();
+        } else if structural {
             self.tree.resync_from(&self.slab, &self.order, first);
             bump(&self.stats.tree_rebuilds, 1);
         } else {
@@ -1224,15 +1254,27 @@ impl Profile {
             bump(&self.stats.order_bytes_shifted, shifted as u64);
             self.order.drain(..idx - 1);
             self.generation = next_generation();
-            self.tree.rebuild(&self.slab, &self.order);
-            bump(&self.stats.tree_rebuilds, 1);
+            if self.order.len() <= SMALL {
+                self.tree_live = false;
+            } else {
+                self.rebuild_tree();
+            }
         }
         debug_assert!(self.invariants_ok());
     }
 
+    /// Build the tree from scratch over the current order chain and mark
+    /// it live.
+    fn rebuild_tree(&mut self) {
+        self.tree.rebuild(&self.slab, &self.order);
+        self.tree_live = true;
+        bump(&self.stats.tree_rebuilds, 1);
+    }
+
     /// Check structural invariants (used by tests; internal operations
-    /// `debug_assert` it): segment ordering/coalescing/bounds, and the
-    /// tree's per-node aggregates against a from-scratch rebuild.
+    /// `debug_assert` it): segment ordering/coalescing/bounds, the tree
+    /// being live exactly past `SMALL` segments, and a live tree's
+    /// per-node aggregates against a from-scratch rebuild.
     pub fn invariants_ok(&self) -> bool {
         if self.order.is_empty() {
             return false;
@@ -1264,8 +1306,15 @@ impl Profile {
         if !(0..self.order.len()).all(|pos| self.seg(pos).free <= self.capacity) {
             return false;
         }
-        // Every node aggregate must equal what a rebuild would compute —
+        // The tree is live exactly when the queries read it, and then
+        // every node aggregate must equal what a rebuild would compute —
         // the incremental update paths may take no shortcuts.
+        if self.tree_live != (self.order.len() > SMALL) {
+            return false;
+        }
+        if !self.tree_live {
+            return true;
+        }
         let mut expect = SegTree::default();
         expect.rebuild(&self.slab, &self.order);
         self.tree == expect
@@ -1559,54 +1608,130 @@ mod tests {
         assert!(!p.fits(t(0), d(50), 1), "post-mutation memo accepted");
     }
 
+    /// A profile grown past `SMALL` by anchored reservations, as a
+    /// scheduler grows one: disjoint rectangles with gaps between them,
+    /// two boundaries each. The anchor scans run while the profile is
+    /// still small. Returns the profile and an instant past which it is
+    /// fully free.
+    fn past_small(cap: u32) -> (Profile, SimTime) {
+        let mut p = Profile::new(cap);
+        for i in 0..SMALL as u64 {
+            let width = 1 + (i % 3) as u32;
+            let start = p.find_anchor(t(i * 100), d(50), width);
+            p.reserve(start, d(50), width);
+        }
+        assert!(p.seg_count() > SMALL + 8, "want a profile past the cutoff");
+        assert!(p.tree_live);
+        (p, t(SMALL as u64 * 100))
+    }
+
     #[test]
     fn incremental_updates_and_rebuilds_are_both_exercised() {
-        let mut p = Profile::new(16);
+        // Past SMALL, where the tree is live and every mutation syncs it.
+        let (mut p, far) = past_small(16);
+        let base = p.stats();
+        let segs = p.seg_count();
+        let delta = |p: &Profile| {
+            let s = p.stats();
+            (
+                s.tree_rebuilds - base.tree_rebuilds,
+                s.tree_incremental_updates - base.tree_incremental_updates,
+            )
+        };
         // Fresh boundaries: structural (suffix resync).
-        p.reserve(t(100), d(50), 4);
-        let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 1);
-        assert_eq!(s.tree_incremental_updates, 0);
+        p.reserve(far + d(100), d(50), 4);
+        assert_eq!(delta(&p).0, 1);
+        assert_eq!(delta(&p).1, 0);
         // Same rectangle again: both boundaries exist, no coalescing
         // (levels on each side differ) — value-only incremental update.
-        p.reserve(t(100), d(50), 4);
-        let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 1);
-        assert_eq!(s.tree_incremental_updates, 1);
+        p.reserve(far + d(100), d(50), 4);
+        assert_eq!(delta(&p).0, 1);
+        assert_eq!(delta(&p).1, 1);
         assert!(p.invariants_ok());
         // Releasing one layer back: still value-only.
-        p.release(t(100), d(50), 4);
-        assert_eq!(p.stats().tree_incremental_updates, 2);
+        p.release(far + d(100), d(50), 4);
+        assert_eq!(delta(&p).1, 2);
         // Releasing the last layer coalesces both boundaries away:
         // structural again.
-        p.release(t(100), d(50), 4);
-        let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 2);
-        assert_eq!(p.segments().len(), 1);
+        p.release(far + d(100), d(50), 4);
+        assert_eq!(delta(&p).0, 2);
+        assert_eq!(p.seg_count(), segs);
         assert!(p.invariants_ok());
     }
 
     #[test]
     fn stats_count_operations() {
-        let mut p = Profile::new(8);
-        p.reserve(t(0), d(100), 4);
-        p.reserve(t(200), d(100), 4);
-        p.release(t(50), d(50), 4);
-        p.find_anchor(t(0), d(10), 8);
-        p.find_anchor(t(0), d(10), 2);
+        let (mut p, far) = past_small(8);
+        let base = p.stats();
+        p.reserve(far, d(100), 4);
+        p.reserve(far + d(200), d(100), 4);
+        p.release(far + d(50), d(50), 4);
+        p.find_anchor(far, d(10), 8);
+        p.find_anchor(far, d(10), 2);
         p.note_compress_pass();
         let s = p.stats();
-        assert_eq!(s.reserves, 2);
-        assert_eq!(s.releases, 1);
-        assert_eq!(s.find_anchor_calls, 2);
-        assert_eq!(s.compress_passes, 1);
+        assert_eq!(s.reserves - base.reserves, 2);
+        assert_eq!(s.releases - base.releases, 1);
+        assert_eq!(s.find_anchor_calls - base.find_anchor_calls, 2);
+        assert_eq!(s.compress_passes - base.compress_passes, 1);
+        // The growth phase anchored while the profile was small.
         assert!(s.segments_visited >= 2, "anchor scans examine segments");
         assert!(s.peak_segments >= 3);
         assert!(s.segments_per_anchor() > 0.0);
         assert!(
-            s.tree_incremental_updates + s.tree_rebuilds >= 3,
-            "every mutation synchronizes the tree"
+            (s.tree_incremental_updates + s.tree_rebuilds)
+                - (base.tree_incremental_updates + base.tree_rebuilds)
+                >= 3,
+            "every mutation past SMALL synchronizes the tree"
         );
+    }
+
+    #[test]
+    fn tree_is_built_once_per_upward_crossing() {
+        // Runs one mutation and checks the tree work it did against the
+        // regime it leaves the profile in. Returns whether it crossed
+        // upward past SMALL.
+        fn step(p: &mut Profile, op: impl FnOnce(&mut Profile)) -> bool {
+            let (below, s0) = (p.seg_count() <= SMALL, p.stats());
+            op(p);
+            let s1 = p.stats();
+            let work = (
+                s1.tree_rebuilds - s0.tree_rebuilds,
+                s1.tree_incremental_updates - s0.tree_incremental_updates,
+            );
+            assert!(p.invariants_ok(), "at {} segments", p.seg_count());
+            assert_eq!(p.tree_live, p.seg_count() > SMALL);
+            if p.seg_count() <= SMALL {
+                assert_eq!(work, (0, 0), "tree work at {} segments", p.seg_count());
+            } else if below {
+                assert_eq!(work, (1, 0), "one build per upward crossing");
+            }
+            below && p.tree_live
+        }
+        let mut p = Profile::new(8);
+        let mut crossings = 0;
+        for round in 0..3u64 {
+            let origin = round * 1_000_000;
+            // Grow with disjoint 1-wide rectangles, two boundaries each.
+            let mut last = t(origin);
+            while p.seg_count() <= SMALL {
+                last = t(origin + 100 * p.seg_count() as u64);
+                crossings += step(&mut p, |p| p.reserve(last, d(50), 1)) as usize;
+            }
+            // Dip back to SMALL and up again: a build each time.
+            for _ in 0..3 {
+                step(&mut p, |p| p.release(last, d(50), 1));
+                assert!(!p.tree_live);
+                crossings += step(&mut p, |p| p.reserve(last, d(50), 1)) as usize;
+            }
+            // A fresh rectangle past the cutoff only syncs the live tree.
+            step(&mut p, |p| p.reserve(last + d(100), d(50), 1));
+            assert!(p.tree_live);
+            // Trim the whole round away: back to one segment, tree stale.
+            step(&mut p, |p| p.trim_before(t(origin + 999_999)));
+            assert_eq!(p.seg_count(), 1);
+        }
+        assert_eq!(crossings, 3 * 4);
     }
 
     #[test]

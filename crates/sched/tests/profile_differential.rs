@@ -206,3 +206,76 @@ proptest! {
         }
     }
 }
+
+/// The profile's plain-scan cutoff: at or below this many segments it
+/// keeps no segment tree, past it the tree is live.
+const SMALL: usize = 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Mutation histories that hover around the cutoff, so the tree is
+    /// built, synchronized and dropped again and again: the segment count
+    /// decides whether an op grows the profile (at or below `SMALL`) or
+    /// shrinks it (past `SMALL`). After every op the `fits` answer (memo
+    /// miss, then memoized repeat) must equal the anchor definition, the
+    /// anchor search must equal the linear scan, and the invariants —
+    /// including "tree live exactly past `SMALL`" — must hold.
+    #[test]
+    fn answers_and_invariants_hold_across_the_small_cutoff(
+        ops in proptest::collection::vec(
+            (
+                (0u8..8, 0u64..40_000, 1u64..1_500, 1u32..=12),
+                (0u64..45_000, 1u64..5_000, 1u32..=12),
+            ),
+            250..400,
+        ),
+    ) {
+        let cap = 12;
+        let mut p = Profile::new(cap);
+        let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
+        let mut crossings = 0;
+        for ((kind, a, b, w), (qs, qd, qw)) in ops {
+            let below = p.segments().len() <= SMALL;
+            let grow = if below { kind < 7 } else { kind < 2 };
+            if grow || live.is_empty() {
+                let dur = SimSpan::new(b);
+                let anchor = p.find_anchor(SimTime::new(a), dur, w);
+                p.reserve(anchor, dur, w);
+                live.push((anchor, dur, w));
+            } else if kind < 6 {
+                // Release a whole live reservation, or the tail of one.
+                let (start, dur, width) = live.swap_remove(a as usize % live.len());
+                let keep = SimSpan::new(if kind % 2 == 0 { 0 } else { b % dur.as_secs() });
+                p.release(start + keep, dur - keep, width);
+                if !keep.is_zero() {
+                    live.push((start, keep, width));
+                }
+            } else {
+                // Trim, never past a live reservation's start (its tail
+                // may still be released).
+                let horizon = live.iter().map(|&(s, _, _)| s).min().unwrap();
+                p.trim_before(SimTime::new(a).min(horizon));
+            }
+            crossings += (below && p.segments().len() > SMALL) as usize;
+            prop_assert!(p.invariants_ok(), "bad profile: {:?}", p.segments());
+            let (start, dur) = (SimTime::new(qs), SimSpan::new(qd));
+            let anchor = p.find_anchor(start, dur, qw);
+            prop_assert_eq!(
+                anchor,
+                p.find_anchor_linear(start, dur, qw),
+                "indexed vs linear diverged at ({}, {}, {}) over {} segments",
+                start, dur, qw, p.segments().len()
+            );
+            for _ in 0..2 {
+                prop_assert_eq!(
+                    p.fits(start, dur, qw),
+                    anchor == start,
+                    "fits vs anchor diverged at ({}, {}, {}) over {} segments",
+                    start, dur, qw, p.segments().len()
+                );
+            }
+        }
+        prop_assert!(crossings > 0, "the history never crossed the cutoff");
+    }
+}
