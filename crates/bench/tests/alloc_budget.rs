@@ -2,8 +2,9 @@
 //!
 //! The allocation-free event path (DESIGN.md §16) claims the simulator's
 //! steady state stops allocating per event: the ladder event queue reuses
-//! buckets, the profile's slab recycles slots, and schedulers reuse their
-//! `starts`/sort scratch buffers across events. This harness pins that
+//! buckets, the profile's segment vector and the job tables keep their
+//! capacity, and schedulers reuse their `starts`/sort scratch buffers
+//! across events. This harness pins that
 //! claim with a counting `#[global_allocator]`: a deep-queue Conservative
 //! cell (per-arrival reservations plus compression passes) and deep-queue
 //! Depth(4) and Preemptive(5) cells (a full planning pass per event) must
@@ -122,7 +123,7 @@ fn deep_queue_conservative_stays_under_allocation_budget() {
         return;
     };
     // Pinned budget. The steady-state event path allocates only for
-    // amortized container growth (slab/order/queue/ladder-bucket Vecs) —
+    // amortized container growth (segment/job-table/queue/ladder-bucket Vecs) —
     // measured ~0.8 allocs/event on this cell; 4 leaves headroom for
     // allocator-pattern drift without letting a per-event regression
     // (a clone, a collect, a fresh scratch) back in.

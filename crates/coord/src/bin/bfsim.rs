@@ -751,9 +751,8 @@ fn cmd_simulate(cli: &Cli) {
             p.peak_segments
         );
         println!(
-            "alloc path:  {} order bytes shifted | {} slab slot reuses | \
-             {} scratch reuses",
-            p.order_bytes_shifted, p.slab_slot_reuses, p.scratch_reuses
+            "alloc path:  {} order bytes shifted | {} scratch reuses",
+            p.order_bytes_shifted, p.scratch_reuses
         );
     }
     if cli.fairness {

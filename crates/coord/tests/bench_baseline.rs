@@ -257,3 +257,45 @@ fn fingerprint_mismatch_under_enforce_parity_exits_7_after_writing_the_report() 
         .expect("spawn bfsim");
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 }
+
+/// The committed baseline report, written before the profile dropped its
+/// slab arena: its per-cell profile counters still carry
+/// `slab_slot_reuses`.
+fn bench5() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_5.json")
+}
+
+#[test]
+fn profile_stats_with_a_retired_counter_still_deserialize() {
+    let text = std::fs::read_to_string(bench5()).expect("read BENCH_5.json");
+    let at = text
+        .find(r#""profile": {"#)
+        .expect("BENCH_5.json has profile counters");
+    let object = &text[at + r#""profile": "#.len()..];
+    let object = &object[..=object.find('}').expect("profile object closes")];
+    assert!(object.contains("\"slab_slot_reuses\""), "{object}");
+    let stats: sched::ProfileStats =
+        serde_json::from_str(object).expect("old counters deserialize");
+    assert_eq!(stats.find_anchor_calls, 3000);
+    assert_eq!(stats.order_bytes_shifted, 719_352);
+    assert_eq!(stats.scratch_reuses, 6742);
+}
+
+#[test]
+fn committed_bench5_baseline_still_loads_and_holds_parity() {
+    let out = bfsim()
+        .args([
+            "bench",
+            "--tiny",
+            "--reps",
+            "1",
+            "--enforce-parity",
+            "--baseline",
+            bench5().to_str().unwrap(),
+            "-o",
+            tmp("bench5-out.json").to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn bfsim");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+}

@@ -20,8 +20,7 @@ use crate::queue::sort_keyed_with;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
-use simcore::{JobId, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimTime};
 
 /// What happens to queued jobs' reservations when a hole opens (a running
 /// job completed earlier than its estimate).
@@ -67,7 +66,7 @@ pub struct ConservativeScheduler {
     policy: Policy,
     profile: Profile,
     queue: Vec<Reservation>,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     /// Processors actually free *right now*. The profile alone is not
     /// enough: at an instant with several simultaneous completions, the
     /// profile already shows all of them done while the driver is still
@@ -101,7 +100,7 @@ impl ConservativeScheduler {
             policy,
             profile: Profile::new(capacity),
             queue: Vec::new(),
-            running: HashMap::new(),
+            running: JobTable::new(),
             free: capacity,
             mode,
             recorder: None,
@@ -376,10 +375,7 @@ impl Scheduler for ConservativeScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.width;
         if now < run.est_end {
             // Early completion: return the unused tail of the rectangle and

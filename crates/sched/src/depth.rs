@@ -18,8 +18,7 @@ use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
-use simcore::{JobId, SimSpan, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimSpan, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Running {
@@ -35,7 +34,7 @@ pub struct DepthScheduler {
     capacity: u32,
     free: u32,
     queue: SchedQueue,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     /// Mirror of the running set's remaining estimated occupancy, updated
     /// on every start and completion instead of rebuilt per event. During
     /// a pass it also holds the pass's reservations.
@@ -62,7 +61,7 @@ impl DepthScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
-            running: HashMap::new(),
+            running: JobTable::new(),
             cached: Profile::new(capacity),
             stats: ProfileStats::default(),
             phases: None,
@@ -186,10 +185,7 @@ impl Scheduler for DepthScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.width;
         if run.est_end > now {
             self.cached.release(now, run.est_end.since(now), run.width);

@@ -27,8 +27,7 @@ use crate::profile::{Profile, ProfileStats};
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
-use simcore::{JobId, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Running {
@@ -43,7 +42,7 @@ pub struct EasyScheduler {
     capacity: u32,
     free: u32,
     queue: SchedQueue,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     /// Mirror of the running set's remaining estimated occupancy, updated
     /// on every start and completion instead of rebuilt per event. The
     /// rebuild stays as a debug-mode differential reference.
@@ -72,7 +71,7 @@ impl EasyScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
-            running: HashMap::new(),
+            running: JobTable::new(),
             cached: Profile::new(capacity),
             stats: ProfileStats::default(),
             recorder: None,
@@ -220,10 +219,7 @@ impl Scheduler for EasyScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.width;
         // Return the job's not-yet-elapsed estimated occupancy; an overrun
         // job (est_end <= now) holds nothing in the profile's future.

@@ -10,8 +10,7 @@
 use crate::policy::Policy;
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
-use simcore::{JobId, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimTime};
 
 /// Priority-ordered scheduler without backfilling.
 #[derive(Debug, Clone)]
@@ -20,7 +19,7 @@ pub struct FcfsScheduler {
     capacity: u32,
     free: u32,
     queue: SchedQueue,
-    running: HashMap<JobId, u32>,
+    running: JobTable<u32>,
 }
 
 impl FcfsScheduler {
@@ -32,7 +31,7 @@ impl FcfsScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
-            running: HashMap::new(),
+            running: JobTable::new(),
         }
     }
 
@@ -64,10 +63,7 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let width = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let width = self.running.remove(id).expect("completion for unknown job");
         self.free += width;
         self.reschedule(now)
     }

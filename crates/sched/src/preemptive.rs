@@ -22,8 +22,7 @@ use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
-use simcore::{JobId, SimSpan, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimSpan, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Running {
@@ -44,16 +43,16 @@ pub struct PreemptiveScheduler {
     /// Waiting jobs; `estimate` fields hold *remaining* estimates for
     /// previously preempted jobs.
     queue: SchedQueue,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     /// Mirror of the running set's remaining estimated occupancy, updated
     /// on starts, completions and preemptions instead of rebuilt per event.
     /// During a pass it also holds the pivot's reservation.
     cached: Profile,
     /// Times a job has been suspended so far (sticky across resumes).
-    suspended_count: HashMap<JobId, u32>,
+    suspended_count: JobTable<u32>,
     /// Every job's original meta, as first submitted — needed to rebuild
     /// the remaining estimate when a preempted job re-enters the queue.
-    original: HashMap<JobId, JobMeta>,
+    original: JobTable<JobMeta>,
     /// Expansion-factor threshold that triggers preemption.
     threshold: f64,
     /// Minimum uninterrupted runtime before a job may be victimized.
@@ -81,10 +80,10 @@ impl PreemptiveScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
-            running: HashMap::new(),
+            running: JobTable::new(),
             cached: Profile::new(capacity),
-            suspended_count: HashMap::new(),
-            original: HashMap::new(),
+            suspended_count: JobTable::new(),
+            original: JobTable::new(),
             threshold,
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
@@ -104,7 +103,7 @@ impl PreemptiveScheduler {
         debug_assert!(job.width <= self.free);
         self.free -= job.width;
         self.cached.reserve(now, job.estimate, job.width);
-        let preemptions = self.suspended_count.get(&job.id).copied().unwrap_or(0);
+        let preemptions = self.suspended_count.get(job.id).copied().unwrap_or(0);
         self.running.insert(
             job.id,
             Running {
@@ -192,10 +191,11 @@ impl PreemptiveScheduler {
             if self.threshold.is_finite() && Policy::xfactor(&head, now) >= self.threshold {
                 if let Some(victims) = self.pick_victims(head.width, now) {
                     for id in victims {
-                        let run = self.running.remove(&id).expect("victim runs");
+                        let run = self.running.remove(id).expect("victim runs");
                         self.free += run.meta.width;
                         self.release_cached(&run, now);
-                        *self.suspended_count.entry(id).or_insert(0) += 1;
+                        let times = self.suspended_count.get(id).copied().unwrap_or(0);
+                        self.suspended_count.insert(id, times + 1);
                         preempts.push(id);
                         // The driver answers with on_preempted, where the
                         // job re-enters the queue with remaining estimate.
@@ -285,10 +285,7 @@ impl Scheduler for PreemptiveScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.meta.width;
         self.release_cached(&run, now);
         self.reschedule(now)
@@ -304,7 +301,7 @@ impl Scheduler for PreemptiveScheduler {
         // kept, so the job's priority keeps aging while suspended.
         let mut meta = *self
             .original
-            .get(&id)
+            .get(id)
             .expect("preempted job must have been seen before");
         meta.estimate = (meta.estimate - ran).max(SimSpan::SECOND);
         self.queue.push(meta);

@@ -45,24 +45,21 @@
 //! moves no segment boundary refreshes only the touched leaves and their
 //! O(log n) ancestor path (`SegTree::update_range`); one that inserts or
 //! removes a boundary re-derives the shifted suffix
-//! (`SegTree::resync_from`) — bounded by the O(n) index shift the order
-//! chain itself already paid for.
+//! (`SegTree::resync_from`) — bounded by the O(n) memmove the segment
+//! vector itself already paid for.
 //!
-//! # The slab arena and the order chain
+//! # Contiguous segments
 //!
-//! Segments do not live in a shifting `Vec<Segment>`. They live in a
-//! **slab arena** (`slab: Vec<Segment>`) at stable slots, and a separate
-//! **order chain** (`order: Vec<u32>`) lists the live slots in time
-//! order. A structural mutation — `split_at` inserting a boundary,
-//! coalescing removing one — shifts 4-byte slot indices in the chain
-//! instead of memmoving 16-byte `Segment`s, and the `Segment` values
-//! themselves never move: slots freed by coalescing or trimming are
-//! recycled through a free list (`free_slots`), so a steady-state
-//! simulation stops allocating for segment churn entirely. The segment
-//! tree stays positional over the chain (leaf `i` aggregates
-//! `slab[order[i]]`), so its suffix re-derivation walks indices, and
-//! `order_bytes_shifted` in [`ProfileStats`] records the index traffic
-//! that replaced whole-segment memmoves.
+//! The segments live in one time-ordered `Vec<Segment>`, so every lookup
+//! (`upper_bound`/`lower_bound` are a `partition_point` over it) and
+//! every scan reads consecutive memory with a single load per segment.
+//! A structural mutation — `split_at` inserting a boundary, coalescing
+//! removing one, `trim_before` dropping the past — is a plain
+//! `Vec::insert`/`remove`/`drain` that memmoves the 16-byte segments
+//! after it; `order_bytes_shifted` in [`ProfileStats`] records that
+//! traffic. The vector's capacity is retained across churn, so a
+//! steady-state simulation does not allocate for segments. The segment
+//! tree is positional over the vector: leaf `i` aggregates `segs[i]`.
 //!
 //! [`Profile::find_anchor_linear`] preserves the pre-index plain scan;
 //! differential property tests (`tests/profile_differential.rs`) assert
@@ -167,15 +164,14 @@ impl SegTree {
         }
     }
 
-    /// Rebuild from scratch: O(size). Leaf `i` aggregates
-    /// `slab[order[i]]` — the tree is positional over the order chain.
-    fn rebuild(&mut self, slab: &[Segment], order: &[u32]) {
-        self.len = order.len();
-        self.size = order.len().next_power_of_two();
+    /// Rebuild from scratch: O(size). Leaf `i` aggregates `segs[i]`.
+    fn rebuild(&mut self, segs: &[Segment]) {
+        self.len = segs.len();
+        self.size = segs.len().next_power_of_two();
         self.nodes.clear();
         self.nodes.resize(2 * self.size, PAD);
-        for (i, &ix) in order.iter().enumerate() {
-            self.nodes[self.size + i] = Self::leaf(&slab[ix as usize]);
+        for (i, seg) in segs.iter().enumerate() {
+            self.nodes[self.size + i] = Self::leaf(seg);
         }
         for v in (1..self.size).rev() {
             self.nodes[v] = Self::merge(self.nodes[2 * v], self.nodes[2 * v + 1]);
@@ -184,10 +180,10 @@ impl SegTree {
 
     /// Refresh leaves `[first, last)` after a value-only mutation (no
     /// boundary moved), then re-derive their O(log n) ancestor paths.
-    fn update_range(&mut self, slab: &[Segment], order: &[u32], first: usize, last: usize) {
+    fn update_range(&mut self, segs: &[Segment], first: usize, last: usize) {
         debug_assert!(first < last && last <= self.len);
-        for (i, &ix) in order[first..last].iter().enumerate() {
-            self.nodes[self.size + first + i] = Self::leaf(&slab[ix as usize]);
+        for (i, seg) in segs[first..last].iter().enumerate() {
+            self.nodes[self.size + first + i] = Self::leaf(seg);
         }
         let mut l = self.size + first;
         let mut r = self.size + last - 1;
@@ -201,20 +197,17 @@ impl SegTree {
     }
 
     /// Re-derive leaves `from..` and every ancestor above them, after an
-    /// insertion or removal shifted the suffix of the order chain.
+    /// insertion or removal shifted the suffix of the segment vector.
     /// Falls back to a full rebuild when the leaf capacity changed.
-    fn resync_from(&mut self, slab: &[Segment], order: &[u32], from: usize) {
-        let size = order.len().next_power_of_two();
+    fn resync_from(&mut self, segs: &[Segment], from: usize) {
+        let size = segs.len().next_power_of_two();
         if size != self.size {
-            self.rebuild(slab, order);
+            self.rebuild(segs);
             return;
         }
-        self.len = order.len();
+        self.len = segs.len();
         for i in from..self.size {
-            self.nodes[self.size + i] = match order.get(i) {
-                Some(&ix) => Self::leaf(&slab[ix as usize]),
-                None => PAD,
-            };
+            self.nodes[self.size + i] = segs.get(i).map_or(PAD, Self::leaf);
         }
         let mut l = self.size + from;
         let mut r = 2 * self.size - 1;
@@ -370,10 +363,9 @@ impl FitsCache {
         let mut min = if i0 == 0 {
             profile.capacity
         } else {
-            profile.seg(i0 - 1).free
+            profile.segs[i0 - 1].free
         };
-        for pos in i0..profile.seg_count() {
-            let seg = profile.seg(pos);
+        for seg in &profile.segs[i0..] {
             self.ends.push(seg.start);
             self.min_free.push(min);
             min = min.min(seg.free);
@@ -466,13 +458,9 @@ pub struct ProfileStats {
     /// scan at or below `SMALL` segments), or by the memoizing rebuild on
     /// a repeat.
     pub fits_cache_misses: u64,
-    /// Bytes of order-chain index traffic from structural mutations
-    /// (boundary inserts/removes, trims) — the 4-byte-per-segment shifts
-    /// that replaced whole-`Segment` memmoves in the slab layout.
+    /// Bytes of `Segment` memmoved by structural mutations (boundary
+    /// inserts/removes, trims): 16 bytes per segment shifted.
     pub order_bytes_shifted: u64,
-    /// Segment slots recycled from the slab free list instead of growing
-    /// the arena (steady state allocates nothing for segment churn).
-    pub slab_slot_reuses: u64,
     /// Scheduler scratch buffers reused across events instead of being
     /// freshly allocated (see [`Profile::note_scratch_reuse`]).
     pub scratch_reuses: u64,
@@ -500,7 +488,6 @@ impl ProfileStats {
         self.fits_cache_hits += other.fits_cache_hits;
         self.fits_cache_misses += other.fits_cache_misses;
         self.order_bytes_shifted += other.order_bytes_shifted;
-        self.slab_slot_reuses += other.slab_slot_reuses;
         self.scratch_reuses += other.scratch_reuses;
     }
 
@@ -549,7 +536,6 @@ struct Counters {
     fits_cache_hits: Cell<u64>,
     fits_cache_misses: Cell<u64>,
     order_bytes_shifted: Cell<u64>,
-    slab_slot_reuses: Cell<u64>,
     scratch_reuses: Cell<u64>,
 }
 
@@ -575,22 +561,13 @@ fn bump(cell: &Cell<u64>, by: u64) {
 #[derive(Debug, Clone)]
 pub struct Profile {
     capacity: u32,
-    /// Segment arena: stable slots that are never shifted. Which slots
-    /// are live, and in what time order, is `order`'s business; dead
-    /// slots wait in `free_slots` for reuse.
-    slab: Vec<Segment>,
-    /// Recyclable slab slots (indices of segments removed by coalescing
-    /// or trimming).
-    free_slots: Vec<u32>,
-    /// The order chain: live slab slots sorted by segment start, strictly
-    /// increasing, values coalesced. Non-empty: the last segment extends
-    /// to infinity. Structural mutations shift these 4-byte indices, not
-    /// the 16-byte segments.
-    order: Vec<u32>,
-    /// Min/max-augmented segment tree, positional over `order`. Read and
+    /// The silhouette: segments sorted by start, strictly increasing,
+    /// values coalesced. Non-empty: the last segment extends to infinity.
+    segs: Vec<Segment>,
+    /// Min/max-augmented segment tree, positional over `segs`. Read and
     /// kept synchronized only while `tree_live`; stale otherwise.
     tree: SegTree,
-    /// Whether `tree` is in sync with `order` — true exactly while the
+    /// Whether `tree` is in sync with `segs` — true exactly while the
     /// profile has more than `SMALL` segments (between mutations).
     tree_live: bool,
     /// Process-globally-unique silhouette token, refreshed from
@@ -602,12 +579,9 @@ pub struct Profile {
 
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
-        // The tree (live or stale) and the counters (plus the slab's slot
-        // assignment and free list) are representation: the silhouette
-        // alone defines identity.
-        self.capacity == other.capacity
-            && self.order.len() == other.order.len()
-            && (0..self.order.len()).all(|i| self.seg(i) == other.seg(i))
+        // The tree (live or stale) and the counters are representation:
+        // the silhouette alone defines identity.
+        self.capacity == other.capacity && self.segs == other.segs
     }
 }
 
@@ -619,12 +593,10 @@ impl Profile {
         assert!(capacity > 0, "profile needs positive capacity");
         let p = Profile {
             capacity,
-            slab: vec![Segment {
+            segs: vec![Segment {
                 start: SimTime::ZERO,
                 free: capacity,
             }],
-            free_slots: Vec::new(),
-            order: vec![0u32],
             tree: SegTree::default(),
             tree_live: false,
             generation: next_generation(),
@@ -640,42 +612,21 @@ impl Profile {
         self.capacity
     }
 
-    /// The segments in time order (for inspection and tests; assembled
-    /// from the slab on each call — the hot paths never build this).
-    pub fn segments(&self) -> Vec<Segment> {
-        self.order
-            .iter()
-            .map(|&ix| self.slab[ix as usize])
-            .collect()
+    /// The segments in time order.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segs
     }
 
-    /// The ordered segment at position `pos` (copied out of the slab).
-    #[inline]
-    fn seg(&self, pos: usize) -> Segment {
-        self.slab[self.order[pos] as usize]
-    }
-
-    /// Number of live segments.
-    #[inline]
-    fn seg_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Position of the first ordered segment with `start > t` (the
-    /// `partition_point(start <= t)` of the old contiguous layout).
+    /// Position of the first segment with `start > t`.
     #[inline]
     fn upper_bound(&self, t: SimTime) -> usize {
-        let slab = &self.slab;
-        self.order
-            .partition_point(|&ix| slab[ix as usize].start <= t)
+        self.segs.partition_point(|s| s.start <= t)
     }
 
-    /// Position of the first ordered segment with `start >= t`.
+    /// Position of the first segment with `start >= t`.
     #[inline]
     fn lower_bound(&self, t: SimTime) -> usize {
-        let slab = &self.slab;
-        self.order
-            .partition_point(|&ix| slab[ix as usize].start < t)
+        self.segs.partition_point(|s| s.start < t)
     }
 
     /// Snapshot of the operation counters.
@@ -699,7 +650,6 @@ impl Profile {
             fits_cache_hits: self.stats.fits_cache_hits.get(),
             fits_cache_misses: self.stats.fits_cache_misses.get(),
             order_bytes_shifted: self.stats.order_bytes_shifted.get(),
-            slab_slot_reuses: self.stats.slab_slot_reuses.get(),
             scratch_reuses: self.stats.scratch_reuses.get(),
         }
     }
@@ -744,8 +694,7 @@ impl Profile {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
         mix(self.capacity as u64);
-        for &ix in &self.order {
-            let s = self.slab[ix as usize];
+        for s in &self.segs {
             mix(s.start.as_secs());
             mix(s.free as u64);
         }
@@ -760,7 +709,7 @@ impl Profile {
             // Before all segments: the profile began fully free.
             self.capacity
         } else {
-            self.seg(idx - 1).free
+            self.segs[idx - 1].free
         }
     }
 
@@ -814,7 +763,7 @@ impl Profile {
         let host_free = if i0 == 0 {
             self.capacity
         } else {
-            self.seg(i0 - 1).free
+            self.segs[i0 - 1].free
         };
         if self.tree_live {
             let mut nodes = 0u64;
@@ -828,8 +777,8 @@ impl Profile {
         } else {
             let mut visited = 0u64;
             let ok = host_free >= width
-                && (i0..self.seg_count())
-                    .map(|pos| self.seg(pos))
+                && self.segs[i0..]
+                    .iter()
                     .take_while(|seg| seg.start < end)
                     .all(|seg| {
                         visited += 1;
@@ -846,7 +795,7 @@ impl Profile {
             "width {width} exceeds capacity {}",
             self.capacity
         );
-        let last_free = self.seg(self.seg_count() - 1).free;
+        let last_free = self.segs[self.segs.len() - 1].free;
         assert!(
             width <= last_free,
             "width {width} never fits: final free level is {last_free}"
@@ -908,7 +857,7 @@ impl Profile {
         descents: &mut u64,
         nodes: &mut u64,
     ) -> SimTime {
-        let first_start = self.seg(0).start;
+        let first_start = self.segs[0].start;
         let mut anchor = earliest;
         // The region before the first boundary is implicitly fully free
         // (it only exists after trim_before); a rectangle fitting entirely
@@ -922,7 +871,7 @@ impl Profile {
             0
         } else {
             let host = self.upper_bound(anchor) - 1;
-            if self.seg(host).free >= width {
+            if self.segs[host].free >= width {
                 host + 1
             } else {
                 // The requested instant is blocked: the earliest possible
@@ -932,7 +881,7 @@ impl Profile {
                     .tree
                     .first_at_least(host + 1, width, nodes)
                     .expect("final segment narrower than asserted");
-                anchor = self.seg(idx).start;
+                anchor = self.segs[idx].start;
                 idx + 1
             }
         };
@@ -943,13 +892,13 @@ impl Profile {
                 // window: every instant in [anchor, end-of-blockage) dies
                 // on it, so restart at the first feasible segment past
                 // the infeasible run.
-                Some(k) if self.seg(k).start < anchor + duration => {
+                Some(k) if self.segs[k].start < anchor + duration => {
                     *descents += 1;
                     let idx = self
                         .tree
                         .first_at_least(k + 1, width, nodes)
                         .expect("final segment narrower than asserted");
-                    anchor = self.seg(idx).start;
+                    anchor = self.segs[idx].start;
                     check = idx + 1;
                 }
                 // No blockage before the window closes: the rectangle fits.
@@ -968,16 +917,16 @@ impl Profile {
         visited: &mut u64,
     ) -> SimTime {
         let mut anchor = earliest;
-        let first_start = self.seg(0).start;
+        let first_start = self.segs[0].start;
         if anchor < first_start && anchor + duration <= first_start {
             return anchor;
         }
         let mut idx = self.upper_bound(anchor).saturating_sub(1);
         loop {
             *visited += 1;
-            let seg = self.seg(idx);
-            let seg_end = if idx + 1 < self.seg_count() {
-                self.seg(idx + 1).start
+            let seg = self.segs[idx];
+            let seg_end = if idx + 1 < self.segs.len() {
+                self.segs[idx + 1].start
             } else {
                 // The final segment is infinite; asserted wide enough.
                 if seg.free >= width {
@@ -1008,7 +957,7 @@ impl Profile {
         }
 
         let mut anchor = earliest;
-        let first_start = self.seg(0).start;
+        let first_start = self.segs[0].start;
         if anchor < first_start && anchor + duration <= first_start {
             return anchor;
         }
@@ -1019,9 +968,9 @@ impl Profile {
         // previously verified segments.
         let mut idx = self.upper_bound(anchor).saturating_sub(1);
         loop {
-            let seg = self.seg(idx);
-            let seg_end = if idx + 1 < self.seg_count() {
-                self.seg(idx + 1).start
+            let seg = self.segs[idx];
+            let seg_end = if idx + 1 < self.segs.len() {
+                self.segs[idx + 1].start
             } else {
                 // The final segment is infinite; asserted wide enough above.
                 if seg.free >= width {
@@ -1041,40 +990,26 @@ impl Profile {
         }
     }
 
-    /// Place `seg` in a slab slot — a recycled one when the free list has
-    /// any — and return its index. The segment values themselves never
-    /// move after this.
-    fn alloc_slot(&mut self, seg: Segment) -> u32 {
-        match self.free_slots.pop() {
-            Some(ix) => {
-                self.slab[ix as usize] = seg;
-                bump(&self.stats.slab_slot_reuses, 1);
-                ix
-            }
-            None => {
-                self.slab.push(seg);
-                (self.slab.len() - 1) as u32
-            }
-        }
+    /// Charge a memmove of `segments` whole segments to the bytes-shifted
+    /// gauge.
+    fn note_shift(&self, segments: usize) {
+        let bytes = segments * std::mem::size_of::<Segment>();
+        bump(&self.stats.order_bytes_shifted, bytes as u64);
     }
 
-    /// Insert slot `ix` at order position `pos`, charging the 4-byte
-    /// suffix shift to the bytes-moved gauge.
-    fn order_insert(&mut self, pos: usize, ix: u32) {
-        let shifted = (self.order.len() - pos) * std::mem::size_of::<u32>();
-        bump(&self.stats.order_bytes_shifted, shifted as u64);
-        self.order.insert(pos, ix);
+    /// Insert `seg` at position `pos`, shifting the suffix.
+    fn insert_seg(&mut self, pos: usize, seg: Segment) {
+        self.note_shift(self.segs.len() - pos);
+        self.segs.insert(pos, seg);
     }
 
-    /// Remove the segment at order position `pos`, recycling its slot.
-    fn order_remove(&mut self, pos: usize) {
-        let shifted = (self.order.len() - pos - 1) * std::mem::size_of::<u32>();
-        bump(&self.stats.order_bytes_shifted, shifted as u64);
-        let ix = self.order.remove(pos);
-        self.free_slots.push(ix);
+    /// Remove the segment at position `pos`, shifting the suffix.
+    fn remove_seg(&mut self, pos: usize) {
+        self.note_shift(self.segs.len() - pos - 1);
+        self.segs.remove(pos);
     }
 
-    /// Order position of the segment containing `t`, splitting a segment
+    /// Position of the segment containing `t`, splitting a segment
     /// at `t` if needed so a boundary exists exactly at `t`. The flag
     /// reports whether a boundary was inserted (a structural change the
     /// tree cannot absorb with a value-only update).
@@ -1083,32 +1018,35 @@ impl Profile {
         if pos == 0 {
             // t precedes the whole profile (possible after trim_before):
             // the region before the first segment is implicitly fully free.
-            let first = self.order[0] as usize;
-            if self.slab[first].free == self.capacity {
+            if self.segs[0].free == self.capacity {
                 // A fully-free segment already opens the profile: moving
                 // its boundary left to `t` is the same silhouette, and
                 // inserting instead would create an adjacent-equal pair
                 // in the middle of the mutation range, where boundary
                 // coalescing would never look.
-                self.slab[first].start = t;
+                self.segs[0].start = t;
                 return (0, false);
             }
-            let ix = self.alloc_slot(Segment {
-                start: t,
-                free: self.capacity,
-            });
-            self.order_insert(0, ix);
+            self.insert_seg(
+                0,
+                Segment {
+                    start: t,
+                    free: self.capacity,
+                },
+            );
             return (0, true);
         }
-        let prev = self.seg(pos - 1);
+        let prev = self.segs[pos - 1];
         if prev.start == t {
             (pos - 1, false)
         } else {
-            let ix = self.alloc_slot(Segment {
-                start: t,
-                free: prev.free,
-            });
-            self.order_insert(pos, ix);
+            self.insert_seg(
+                pos,
+                Segment {
+                    start: t,
+                    free: prev.free,
+                },
+            );
             (pos, true)
         }
     }
@@ -1122,12 +1060,12 @@ impl Profile {
     /// removed (a structural change for the tree).
     fn coalesce_boundaries(&mut self, first: usize, last: usize) -> bool {
         let mut removed = false;
-        if last < self.order.len() && self.seg(last - 1).free == self.seg(last).free {
-            self.order_remove(last);
+        if last < self.segs.len() && self.segs[last - 1].free == self.segs[last].free {
+            self.remove_seg(last);
             removed = true;
         }
-        if first > 0 && self.seg(first - 1).free == self.seg(first).free {
-            self.order_remove(first);
+        if first > 0 && self.segs[first - 1].free == self.segs[first].free {
+            self.remove_seg(first);
             removed = true;
         }
         removed
@@ -1140,18 +1078,18 @@ impl Profile {
     /// no segment boundary moved, by suffix re-derivation otherwise.
     fn after_mutation(&mut self, first: usize, last: usize, structural: bool) {
         self.generation = next_generation();
-        if self.order.len() <= SMALL {
+        if self.segs.len() <= SMALL {
             self.tree_live = false;
         } else if !self.tree_live {
             self.rebuild_tree();
         } else if structural {
-            self.tree.resync_from(&self.slab, &self.order, first);
+            self.tree.resync_from(&self.segs, first);
             bump(&self.stats.tree_rebuilds, 1);
         } else {
-            self.tree.update_range(&self.slab, &self.order, first, last);
+            self.tree.update_range(&self.segs, first, last);
             bump(&self.stats.tree_incremental_updates, 1);
         }
-        let peak = self.stats.peak_segments.get().max(self.order.len() as u64);
+        let peak = self.stats.peak_segments.get().max(self.segs.len() as u64);
         self.stats.peak_segments.set(peak);
         debug_assert!(self.invariants_ok());
     }
@@ -1172,9 +1110,7 @@ impl Profile {
         let end = start + duration;
         let (first, ins_a) = self.split_at(start);
         let (last, ins_b) = self.split_at(end); // affected segs are first..last
-        for pos in first..last {
-            let ix = self.order[pos] as usize;
-            let seg = &mut self.slab[ix];
+        for seg in &mut self.segs[first..last] {
             assert!(
                 seg.free >= width,
                 "reservation of {width} at {} underflows segment at {} (free {})",
@@ -1201,9 +1137,7 @@ impl Profile {
         let end = start + duration;
         let (first, ins_a) = self.split_at(start);
         let (last, ins_b) = self.split_at(end);
-        for pos in first..last {
-            let ix = self.order[pos] as usize;
-            let seg = &mut self.slab[ix];
+        for seg in &mut self.segs[first..last] {
             assert!(
                 seg.free + width <= self.capacity,
                 "release of {width} at {} overflows segment at {} (free {}, capacity {})",
@@ -1234,10 +1168,10 @@ impl Profile {
         // Two step functions are equal over [from, ∞) iff they agree at
         // `from` and at every boundary of either that lies beyond it.
         let boundaries = self
-            .order
+            .segs
             .iter()
-            .map(|&ix| self.slab[ix as usize].start)
-            .chain(other.order.iter().map(|&ix| other.slab[ix as usize].start))
+            .chain(&other.segs)
+            .map(|s| s.start)
             .filter(|&s| s > from);
         std::iter::once(from)
             .chain(boundaries)
@@ -1249,12 +1183,10 @@ impl Profile {
     pub fn trim_before(&mut self, now: SimTime) {
         let idx = self.upper_bound(now);
         if idx > 1 {
-            self.free_slots.extend_from_slice(&self.order[..idx - 1]);
-            let shifted = (self.order.len() - (idx - 1)) * std::mem::size_of::<u32>();
-            bump(&self.stats.order_bytes_shifted, shifted as u64);
-            self.order.drain(..idx - 1);
+            self.note_shift(self.segs.len() - (idx - 1));
+            self.segs.drain(..idx - 1);
             self.generation = next_generation();
-            if self.order.len() <= SMALL {
+            if self.segs.len() <= SMALL {
                 self.tree_live = false;
             } else {
                 self.rebuild_tree();
@@ -1263,10 +1195,10 @@ impl Profile {
         debug_assert!(self.invariants_ok());
     }
 
-    /// Build the tree from scratch over the current order chain and mark
-    /// it live.
+    /// Build the tree from scratch over the current segments and mark it
+    /// live.
     fn rebuild_tree(&mut self) {
-        self.tree.rebuild(&self.slab, &self.order);
+        self.tree.rebuild(&self.segs);
         self.tree_live = true;
         bump(&self.stats.tree_rebuilds, 1);
     }
@@ -1276,47 +1208,30 @@ impl Profile {
     /// being live exactly past `SMALL` segments, and a live tree's
     /// per-node aggregates against a from-scratch rebuild.
     pub fn invariants_ok(&self) -> bool {
-        if self.order.is_empty() {
+        if self.segs.is_empty() {
             return false;
         }
-        // Order indices must be in-bounds, unique, and disjoint from the
-        // free list (a slot cannot be both live and recyclable).
-        let mut live = vec![false; self.slab.len()];
-        for &ix in &self.order {
-            let Some(slot) = live.get_mut(ix as usize) else {
-                return false;
-            };
-            if std::mem::replace(slot, true) {
-                return false;
-            }
-        }
         if self
-            .free_slots
-            .iter()
-            .any(|&ix| self.slab.get(ix as usize).is_none() || live[ix as usize])
+            .segs
+            .windows(2)
+            .any(|w| w[0].start >= w[1].start || w[0].free == w[1].free)
         {
             return false;
         }
-        for pos in 1..self.order.len() {
-            let (a, b) = (self.seg(pos - 1), self.seg(pos));
-            if a.start >= b.start || a.free == b.free {
-                return false;
-            }
-        }
-        if !(0..self.order.len()).all(|pos| self.seg(pos).free <= self.capacity) {
+        if self.segs.iter().any(|s| s.free > self.capacity) {
             return false;
         }
         // The tree is live exactly when the queries read it, and then
         // every node aggregate must equal what a rebuild would compute —
         // the incremental update paths may take no shortcuts.
-        if self.tree_live != (self.order.len() > SMALL) {
+        if self.tree_live != (self.segs.len() > SMALL) {
             return false;
         }
         if !self.tree_live {
             return true;
         }
         let mut expect = SegTree::default();
-        expect.rebuild(&self.slab, &self.order);
+        expect.rebuild(&self.segs);
         self.tree == expect
     }
 }
@@ -1620,7 +1535,7 @@ mod tests {
             let start = p.find_anchor(t(i * 100), d(50), width);
             p.reserve(start, d(50), width);
         }
-        assert!(p.seg_count() > SMALL + 8, "want a profile past the cutoff");
+        assert!(p.segs.len() > SMALL + 8, "want a profile past the cutoff");
         assert!(p.tree_live);
         (p, t(SMALL as u64 * 100))
     }
@@ -1630,7 +1545,7 @@ mod tests {
         // Past SMALL, where the tree is live and every mutation syncs it.
         let (mut p, far) = past_small(16);
         let base = p.stats();
-        let segs = p.seg_count();
+        let segs = p.segs.len();
         let delta = |p: &Profile| {
             let s = p.stats();
             (
@@ -1655,7 +1570,7 @@ mod tests {
         // structural again.
         p.release(far + d(100), d(50), 4);
         assert_eq!(delta(&p).0, 2);
-        assert_eq!(p.seg_count(), segs);
+        assert_eq!(p.segs.len(), segs);
         assert!(p.invariants_ok());
     }
 
@@ -1692,17 +1607,17 @@ mod tests {
         // regime it leaves the profile in. Returns whether it crossed
         // upward past SMALL.
         fn step(p: &mut Profile, op: impl FnOnce(&mut Profile)) -> bool {
-            let (below, s0) = (p.seg_count() <= SMALL, p.stats());
+            let (below, s0) = (p.segs.len() <= SMALL, p.stats());
             op(p);
             let s1 = p.stats();
             let work = (
                 s1.tree_rebuilds - s0.tree_rebuilds,
                 s1.tree_incremental_updates - s0.tree_incremental_updates,
             );
-            assert!(p.invariants_ok(), "at {} segments", p.seg_count());
-            assert_eq!(p.tree_live, p.seg_count() > SMALL);
-            if p.seg_count() <= SMALL {
-                assert_eq!(work, (0, 0), "tree work at {} segments", p.seg_count());
+            assert!(p.invariants_ok(), "at {} segments", p.segs.len());
+            assert_eq!(p.tree_live, p.segs.len() > SMALL);
+            if p.segs.len() <= SMALL {
+                assert_eq!(work, (0, 0), "tree work at {} segments", p.segs.len());
             } else if below {
                 assert_eq!(work, (1, 0), "one build per upward crossing");
             }
@@ -1714,8 +1629,8 @@ mod tests {
             let origin = round * 1_000_000;
             // Grow with disjoint 1-wide rectangles, two boundaries each.
             let mut last = t(origin);
-            while p.seg_count() <= SMALL {
-                last = t(origin + 100 * p.seg_count() as u64);
+            while p.segs.len() <= SMALL {
+                last = t(origin + 100 * p.segs.len() as u64);
                 crossings += step(&mut p, |p| p.reserve(last, d(50), 1)) as usize;
             }
             // Dip back to SMALL and up again: a build each time.
@@ -1729,7 +1644,7 @@ mod tests {
             assert!(p.tree_live);
             // Trim the whole round away: back to one segment, tree stale.
             step(&mut p, |p| p.trim_before(t(origin + 999_999)));
-            assert_eq!(p.seg_count(), 1);
+            assert_eq!(p.segs.len(), 1);
         }
         assert_eq!(crossings, 3 * 4);
     }

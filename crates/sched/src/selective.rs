@@ -25,8 +25,7 @@ use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::{sort_keyed_with, SchedQueue};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
-use simcore::{JobId, SimSpan, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimSpan, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Reservation {
@@ -51,7 +50,7 @@ pub struct SelectiveScheduler {
     /// through the due-start scan, so it must not be kept eagerly sorted.
     reserved: Vec<Reservation>,
     unreserved: SchedQueue,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     /// Processors physically free right now (see the conservative
     /// scheduler: the profile runs ahead of the event stream at instants
     /// with several simultaneous completions).
@@ -77,7 +76,7 @@ impl SelectiveScheduler {
             profile: Profile::new(capacity),
             reserved: Vec::new(),
             unreserved: SchedQueue::new(policy),
-            running: HashMap::new(),
+            running: JobTable::new(),
             free: capacity,
             starts_scratch: Vec::new(),
             sort_scratch: Vec::new(),
@@ -259,10 +258,7 @@ impl Scheduler for SelectiveScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.width;
         if now < run.est_end {
             self.profile.release(now, run.est_end.since(now), run.width);

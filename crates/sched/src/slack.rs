@@ -23,8 +23,7 @@ use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use serde::{Deserialize, Serialize};
-use simcore::{JobId, SimSpan, SimTime};
-use std::collections::HashMap;
+use simcore::{JobId, JobTable, SimSpan, SimTime};
 
 /// How much slack each job's promise carries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,7 +67,7 @@ pub struct SlackScheduler {
     slack: SlackPolicy,
     profile: Profile,
     queue: Vec<Promise>,
-    running: HashMap<JobId, Running>,
+    running: JobTable<Running>,
     free: u32,
     /// Opt-in per-phase profiling accumulator (strictly observational).
     phases: Option<obs::SharedPhases>,
@@ -82,7 +81,7 @@ impl SlackScheduler {
             slack,
             profile: Profile::new(capacity),
             queue: Vec::new(),
-            running: HashMap::new(),
+            running: JobTable::new(),
             free: capacity,
             phases: None,
         }
@@ -223,10 +222,7 @@ impl Scheduler for SlackScheduler {
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
+        let run = self.running.remove(id).expect("completion for unknown job");
         self.free += run.width;
         if now < run.est_end {
             self.profile.release(now, run.est_end.since(now), run.width);

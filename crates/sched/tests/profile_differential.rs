@@ -141,7 +141,7 @@ proptest! {
                 "indexed vs linear diverged at ({}, {}, {}) over {:?}",
                 earliest, dur, width, p.segments()
             );
-            let reference = reference_anchor(&p.segments(), cap, earliest, dur, width);
+            let reference = reference_anchor(p.segments(), cap, earliest, dur, width);
             prop_assert_eq!(
                 indexed,
                 reference,

@@ -8,6 +8,7 @@
 //! * [`event`] — a deterministic pending-event queue with total tie-breaking;
 //! * [`engine`] — a minimal event loop ([`Engine`]/[`Actor`]);
 //! * [`machine`] — the space-shared processor pool model ([`Machine`]);
+//! * [`job_table`] — a map keyed by dense [`JobId`]s ([`JobTable`]);
 //! * [`validate`] — independent post-hoc schedule auditing;
 //! * [`error`] — substrate error types.
 //!
@@ -19,6 +20,7 @@
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod job_table;
 pub mod machine;
 pub mod rng;
 pub mod time;
@@ -27,6 +29,7 @@ pub mod validate;
 pub use engine::{Actor, Ctx, Engine, Hook};
 pub use error::SimError;
 pub use event::{EventClass, EventQueue, HeapEventQueue};
+pub use job_table::JobTable;
 pub use machine::{JobId, Machine};
 pub use rng::{SimRng, SplitMix64, Xoshiro256pp};
 pub use time::{SimSpan, SimTime};

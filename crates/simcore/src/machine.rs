@@ -8,9 +8,9 @@
 //! without replaying the schedule.
 
 use crate::error::SimError;
+use crate::job_table::JobTable;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifies a job throughout the simulator. Dense indices into the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -27,7 +27,7 @@ impl std::fmt::Display for JobId {
 pub struct Machine {
     total: u32,
     in_use: u32,
-    allocations: HashMap<JobId, u32>,
+    allocations: JobTable<u32>,
     /// Busy processor-seconds accumulated up to `last_update`.
     busy_integral: u128,
     last_update: SimTime,
@@ -41,7 +41,7 @@ impl Machine {
         Machine {
             total,
             in_use: 0,
-            allocations: HashMap::new(),
+            allocations: JobTable::new(),
             busy_integral: 0,
             last_update: SimTime::ZERO,
             peak_in_use: 0,
@@ -97,7 +97,7 @@ impl Machine {
                 free: self.free(),
             });
         }
-        if self.allocations.contains_key(&job) {
+        if self.allocations.get(job).is_some() {
             return Err(SimError::DoubleAllocation { job: job.0 });
         }
         self.advance_to(now);
@@ -111,7 +111,7 @@ impl Machine {
     pub fn release(&mut self, job: JobId, now: SimTime) -> Result<u32, SimError> {
         let width = self
             .allocations
-            .remove(&job)
+            .remove(job)
             .ok_or(SimError::ReleaseWithoutAllocation { job: job.0 })?;
         self.advance_to(now);
         self.in_use -= width;
