@@ -14,6 +14,7 @@
 
 use crate::schedule::Schedule;
 use metrics::JobOutcome;
+use obs::metrics::{Counter, Gauge};
 use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
 use sched::slack::SlackPolicy;
@@ -24,6 +25,7 @@ use sched::{
 use sched::{Decisions, JobMeta, Policy, ProfileStats, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::{Actor, Ctx, Engine, EventClass, JobId, Machine, SimSpan, SimTime};
+use std::sync::{Arc, OnceLock};
 use workload::{Category, CategoryCriteria, Trace};
 
 /// Which scheduling strategy to simulate.
@@ -243,63 +245,75 @@ fn trace_category(cat: Category) -> TraceCategory {
     }
 }
 
-/// Accumulate one run's profile counters into `registry` under the
-/// `sim.*` naming convention (see the `obs::metrics` docs). The per-run
-/// [`ProfileStats`] stays the protocol-level report — this flush is how
-/// those counters also surface in a long-lived registry (the process
-/// global for CLI runs, the daemon's own for `bfsimd`).
-pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
-    registry
-        .counter("sim.profile.find_anchor_calls")
-        .add(stats.find_anchor_calls);
-    registry
-        .counter("sim.profile.segments_visited")
-        .add(stats.segments_visited);
-    registry
-        .counter("sim.profile.tree.descents")
-        .add(stats.tree_descents);
-    registry
-        .counter("sim.profile.tree.nodes_visited")
-        .add(stats.tree_nodes_visited);
-    registry
-        .counter("sim.profile.tree.incremental_updates")
-        .add(stats.tree_incremental_updates);
-    registry
-        .counter("sim.profile.tree.rebuilds")
-        .add(stats.tree_rebuilds);
-    registry.counter("sim.profile.reserves").add(stats.reserves);
-    registry.counter("sim.profile.releases").add(stats.releases);
-    registry
-        .counter("sim.profile.compress_passes")
-        .add(stats.compress_passes);
-    registry
-        .counter("sim.profile.rebuilds")
-        .add(stats.profile_rebuilds);
-    registry
-        .counter("sim.profile.rebuilds_avoided")
-        .add(stats.profile_rebuilds_avoided);
-    registry
-        .counter("sim.profile.fits_cache.hits")
-        .add(stats.fits_cache_hits);
-    registry
-        .counter("sim.profile.fits_cache.misses")
-        .add(stats.fits_cache_misses);
-    registry
-        .counter("sim.queue.inserts")
-        .add(stats.queue_inserts);
-    registry.counter("sim.queue.sorts").add(stats.queue_sorts);
-    registry
-        .counter("sim.queue.sorts_avoided")
-        .add(stats.queue_sorts_avoided);
-    registry
-        .counter("sim.profile.order_bytes_shifted")
-        .add(stats.order_bytes_shifted);
-    registry
-        .counter("sim.scratch_reuses")
-        .add(stats.scratch_reuses);
-    let peak = registry.gauge("sim.profile.peak_segments");
-    if stats.peak_segments as i64 > peak.get() {
-        peak.set(stats.peak_segments as i64);
+/// Reads one counter field of a [`ProfileStats`].
+type ProfileField = fn(&ProfileStats) -> u64;
+
+/// The `sim.*` counter each [`ProfileStats`] field accumulates into
+/// (see the `obs::metrics` naming convention).
+const PROFILE_COUNTERS: [(&str, ProfileField); 18] = [
+    ("sim.profile.find_anchor_calls", |s| s.find_anchor_calls),
+    ("sim.profile.segments_visited", |s| s.segments_visited),
+    ("sim.profile.tree.descents", |s| s.tree_descents),
+    ("sim.profile.tree.nodes_visited", |s| s.tree_nodes_visited),
+    ("sim.profile.tree.incremental_updates", |s| {
+        s.tree_incremental_updates
+    }),
+    ("sim.profile.tree.rebuilds", |s| s.tree_rebuilds),
+    ("sim.profile.reserves", |s| s.reserves),
+    ("sim.profile.releases", |s| s.releases),
+    ("sim.profile.compress_passes", |s| s.compress_passes),
+    ("sim.profile.rebuilds", |s| s.profile_rebuilds),
+    ("sim.profile.rebuilds_avoided", |s| {
+        s.profile_rebuilds_avoided
+    }),
+    ("sim.profile.fits_cache.hits", |s| s.fits_cache_hits),
+    ("sim.profile.fits_cache.misses", |s| s.fits_cache_misses),
+    ("sim.queue.inserts", |s| s.queue_inserts),
+    ("sim.queue.sorts", |s| s.queue_sorts),
+    ("sim.queue.sorts_avoided", |s| s.queue_sorts_avoided),
+    ("sim.profile.order_bytes_shifted", |s| s.order_bytes_shifted),
+    ("sim.scratch_reuses", |s| s.scratch_reuses),
+];
+
+/// One registry's per-run `sim.*` metrics: `sim.runs`, `sim.events` and
+/// the [`ProfileStats`] counters. The per-run `ProfileStats` stays the
+/// protocol-level report — this is how those counters also surface in
+/// a long-lived registry (the process global for CLI runs, the daemon's
+/// own for `bfsimd`). The handles are looked up once at [`Self::bind`],
+/// so recording a run is plain atomic adds, with no name-map lock and
+/// no key allocation.
+pub struct SimCounters {
+    runs: Arc<Counter>,
+    events: Arc<Counter>,
+    profile: [Arc<Counter>; PROFILE_COUNTERS.len()],
+    peak_segments: Arc<Gauge>,
+}
+
+impl SimCounters {
+    /// Get-or-create every `sim.*` run metric in `registry`.
+    pub fn bind(registry: &obs::Registry) -> Self {
+        SimCounters {
+            runs: registry.counter("sim.runs"),
+            events: registry.counter("sim.events"),
+            profile: PROFILE_COUNTERS.map(|(name, _)| registry.counter(name)),
+            peak_segments: registry.gauge("sim.profile.peak_segments"),
+        }
+    }
+
+    /// Count one run of `events` events and accumulate its profile
+    /// counters, if its scheduler keeps a profile.
+    pub fn record(&self, events: u64, stats: Option<&ProfileStats>) {
+        self.runs.inc();
+        self.events.add(events);
+        let Some(stats) = stats else {
+            return;
+        };
+        for (counter, (_, field)) in self.profile.iter().zip(PROFILE_COUNTERS) {
+            counter.add(field(stats));
+        }
+        if stats.peak_segments as i64 > self.peak_segments.get() {
+            self.peak_segments.set(stats.peak_segments as i64);
+        }
     }
 }
 
@@ -700,12 +714,10 @@ pub fn simulate_observed(
     };
     // Surface this run's hot-path counters in the process-global metrics
     // registry (monotone totals across all runs in the process).
-    let registry = obs::metrics::global();
-    registry.counter("sim.runs").inc();
-    registry.counter("sim.events").add(schedule.events);
-    if let Some(stats) = &schedule.profile_stats {
-        flush_profile_stats(registry, stats);
-    }
+    static GLOBAL: OnceLock<SimCounters> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| SimCounters::bind(obs::metrics::global()))
+        .record(schedule.events, schedule.profile_stats.as_ref());
     (schedule, driver.journal)
 }
 

@@ -44,8 +44,8 @@ pub mod schedule;
 pub use campaign::{Campaign, CampaignCell, Estimate};
 pub use config::{RunConfig, Scenario, TraceSource};
 pub use driver::{
-    flush_profile_stats, journal_queue_series, simulate, simulate_journaled, simulate_observed,
-    JournalEntry, JournalKind, SchedulerKind, SimOptions,
+    journal_queue_series, simulate, simulate_journaled, simulate_observed, JournalEntry,
+    JournalKind, SchedulerKind, SimCounters, SimOptions,
 };
 pub use runner::{
     aggregate_profile_stats, materialize_caught, run_all, run_all_checked, run_all_checked_shared,

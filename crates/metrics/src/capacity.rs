@@ -9,7 +9,6 @@
 
 use crate::outcome::JobOutcome;
 use serde::{Deserialize, Serialize};
-use simcore::SimTime;
 
 /// Breakdown of a schedule's capacity usage over its busy horizon
 /// (first arrival → last completion).
@@ -23,42 +22,48 @@ pub struct CapacityReport {
     pub lost: f64,
 }
 
+/// The breakdown of a schedule with no horizon (no jobs, or no time).
+const EMPTY: CapacityReport = CapacityReport {
+    utilized: 0.0,
+    idle_no_demand: 0.0,
+    lost: 0.0,
+};
+
 /// Compute the capacity breakdown of a schedule.
 ///
 /// Sweeps the schedule's events; within each inter-event interval the
 /// number of running processors and waiting jobs is constant, so the
-/// integral is exact.
+/// integral is exact. The events come from three time-ordered streams —
+/// releases (completions), arrivals and claims (starts) — merged on the
+/// fly; at one instant they apply in that order, so a job that arrives
+/// and starts at the same time never reads as a negative queue. Only
+/// claims and releases need sorting: arrivals are taken in the
+/// outcomes' order, normally trace order, and sorted only when that
+/// order is not by arrival.
 pub fn capacity_report(outcomes: &[JobOutcome], nodes: u32) -> CapacityReport {
     assert!(nodes > 0, "machine size must be positive");
-    if outcomes.is_empty() {
-        return CapacityReport {
-            utilized: 0.0,
-            idle_no_demand: 0.0,
-            lost: 0.0,
-        };
+    let mut arrivals: Vec<u64> = outcomes.iter().map(|o| o.job.arrival.as_secs()).collect();
+    if !arrivals.is_sorted() {
+        arrivals.sort_unstable();
     }
-
-    // Event deltas: (time, running-procs delta, waiting-jobs delta).
-    let mut events: Vec<(SimTime, i64, i64)> = Vec::with_capacity(outcomes.len() * 3);
-    for o in outcomes {
-        events.push((o.job.arrival, 0, 1));
-        events.push((o.start, o.job.width as i64, -1));
-        events.push((o.end(), -(o.job.width as i64), 0));
-    }
-    events.sort_by_key(|&(t, dp, _)| (t, dp)); // releases before claims at equal t
-    let horizon_start = outcomes
+    // `(time, width)`; the order among equal times does not matter.
+    let mut claims: Vec<(u64, u32)> = outcomes
         .iter()
-        .map(|o| o.job.arrival)
-        .min()
-        .expect("non-empty");
-    let horizon_end = outcomes.iter().map(|o| o.end()).max().expect("non-empty");
-    let total = horizon_end.since(horizon_start).as_secs() as u128 * nodes as u128;
+        .map(|o| (o.start.as_secs(), o.job.width))
+        .collect();
+    let mut releases: Vec<(u64, u32)> = outcomes
+        .iter()
+        .map(|o| (o.end().as_secs(), o.job.width))
+        .collect();
+    claims.sort_unstable_by_key(|e| e.0);
+    releases.sort_unstable_by_key(|e| e.0);
+    let (Some(&horizon_start), Some(&(horizon_end, _))) = (arrivals.first(), releases.last())
+    else {
+        return EMPTY;
+    };
+    let total = (horizon_end - horizon_start) as u128 * nodes as u128;
     if total == 0 {
-        return CapacityReport {
-            utilized: 0.0,
-            idle_no_demand: 0.0,
-            lost: 0.0,
-        };
+        return EMPTY;
     }
 
     let mut busy_int: u128 = 0;
@@ -66,17 +71,37 @@ pub fn capacity_report(outcomes: &[JobOutcome], nodes: u32) -> CapacityReport {
     let mut running: i64 = 0;
     let mut waiting: i64 = 0;
     let mut prev = horizon_start;
-    for (t, dp, dw) in events {
-        let dt = t.since(prev).as_secs() as u128;
-        if dt > 0 {
-            busy_int += running as u128 * dt;
-            if waiting > 0 {
-                lost_int += (nodes as i64 - running).max(0) as u128 * dt;
-            }
-            prev = t;
+    let (mut a, mut c, mut r) = (0, 0, 0);
+    // A stream's next event time; `u64::MAX` once it is exhausted.
+    let head = |events: &[(u64, u32)], i: usize| events.get(i).map_or(u64::MAX, |e| e.0);
+    loop {
+        let t = arrivals
+            .get(a)
+            .map_or(u64::MAX, |&t| t)
+            .min(head(&claims, c))
+            .min(head(&releases, r));
+        if t == u64::MAX {
+            break;
         }
-        running += dp;
-        waiting += dw;
+        let dt = (t - prev) as u128;
+        busy_int += running as u128 * dt;
+        if waiting > 0 {
+            lost_int += (nodes as i64 - running).max(0) as u128 * dt;
+        }
+        prev = t;
+        while r < releases.len() && releases[r].0 == t {
+            running -= releases[r].1 as i64;
+            r += 1;
+        }
+        while a < arrivals.len() && arrivals[a] == t {
+            waiting += 1;
+            a += 1;
+        }
+        while c < claims.len() && claims[c].0 == t {
+            running += claims[c].1 as i64;
+            waiting -= 1;
+            c += 1;
+        }
         debug_assert!(running >= 0 && waiting >= 0, "negative sweep state");
     }
     let utilized = busy_int as f64 / total as f64;
@@ -91,7 +116,7 @@ pub fn capacity_report(outcomes: &[JobOutcome], nodes: u32) -> CapacityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{JobId, SimSpan};
+    use simcore::{JobId, SimSpan, SimTime};
     use workload::Job;
 
     fn outcome(arrival: u64, runtime: u64, width: u32, start: u64) -> JobOutcome {

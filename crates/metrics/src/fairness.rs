@@ -31,7 +31,9 @@ pub fn gini(values: &[f64]) -> f64 {
         "gini requires finite non-negative values"
     );
     let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    // Values equal under `total_cmp` are bit-identical, so an unstable
+    // sort yields the same sequence as a stable one.
+    sorted.sort_unstable_by(f64::total_cmp);
     let n = sorted.len() as f64;
     let total: f64 = sorted.iter().sum();
     if total == 0.0 {
@@ -73,7 +75,7 @@ pub fn fairness(outcomes: &[JobOutcome]) -> FairnessReport {
         .collect();
     by_arrival.sort_by_key(|&(arrival, _)| arrival);
     let starts: Vec<u64> = by_arrival.into_iter().map(|(_, s)| s).collect();
-    let inversions = count_inversions(&starts);
+    let inversions = count_inversions(starts);
     let n = outcomes.len() as u64;
     let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
     let overtake_rate = if pairs == 0 {
@@ -90,35 +92,58 @@ pub fn fairness(outcomes: &[JobOutcome]) -> FairnessReport {
 }
 
 /// Count pairs `(i, j)` with `i < j` but `v[i] > v[j]` (strict inversions).
-fn count_inversions(v: &[u64]) -> u64 {
-    fn sort_count(v: &mut Vec<u64>) -> u64 {
-        let n = v.len();
-        if n <= 1 {
-            return 0;
-        }
-        let mut right = v.split_off(n / 2);
-        let mut inv = sort_count(v) + sort_count(&mut right);
-        // Merge, counting cross inversions (left element strictly greater).
-        let left = std::mem::take(v);
-        let (mut i, mut j) = (0, 0);
-        let mut merged = Vec::with_capacity(left.len() + right.len());
-        while i < left.len() && j < right.len() {
-            if left[i] <= right[j] {
-                merged.push(left[i]);
-                i += 1;
-            } else {
-                inv += (left.len() - i) as u64;
-                merged.push(right[j]);
-                j += 1;
+///
+/// A bottom-up merge sort over `v` and one scratch buffer of the same
+/// length. Runs of [`RUN`] elements are first insertion-sorted in place
+/// (each shift past a strictly greater element is one inversion); then
+/// each pass merges adjacent runs from one buffer into the other,
+/// counting the cross inversions. Start times in arrival order are
+/// nearly sorted, so most insertions shift little and many merges find
+/// their two runs already in order.
+fn count_inversions(mut v: Vec<u64>) -> u64 {
+    const RUN: usize = 32;
+    let n = v.len();
+    let mut inv = 0u64;
+    for run in v.chunks_mut(RUN) {
+        for i in 1..run.len() {
+            let x = run[i];
+            let mut j = i;
+            while j > 0 && run[j - 1] > x {
+                run[j] = run[j - 1];
+                j -= 1;
             }
+            run[j] = x;
+            inv += (i - j) as u64;
         }
-        merged.extend_from_slice(&left[i..]);
-        merged.extend_from_slice(&right[j..]);
-        *v = merged;
-        inv
     }
-    let mut copy = v.to_vec();
-    sort_count(&mut copy)
+    let mut scratch = vec![0u64; n];
+    let mut width = RUN;
+    while width < n {
+        for lo in (0..n).step_by(2 * width) {
+            let mid = (lo + width).min(n);
+            let hi = (lo + 2 * width).min(n);
+            let (mut i, mut j, mut k) = (lo, mid, lo);
+            if mid < hi && v[mid - 1] > v[mid] {
+                while i < mid && j < hi {
+                    // Cross inversions: the left element is strictly greater.
+                    if v[i] <= v[j] {
+                        scratch[k] = v[i];
+                        i += 1;
+                    } else {
+                        inv += (mid - i) as u64;
+                        scratch[k] = v[j];
+                        j += 1;
+                    }
+                    k += 1;
+                }
+            }
+            scratch[k..k + mid - i].copy_from_slice(&v[i..mid]);
+            scratch[k + mid - i..hi].copy_from_slice(&v[j..hi]);
+        }
+        std::mem::swap(&mut v, &mut scratch);
+        width *= 2;
+    }
+    inv
 }
 
 #[cfg(test)]
@@ -171,13 +196,13 @@ mod tests {
 
     #[test]
     fn inversion_counting() {
-        assert_eq!(count_inversions(&[1, 2, 3, 4]), 0);
-        assert_eq!(count_inversions(&[4, 3, 2, 1]), 6);
-        assert_eq!(count_inversions(&[2, 1, 3]), 1);
-        assert_eq!(count_inversions(&[]), 0);
-        assert_eq!(count_inversions(&[7]), 0);
+        assert_eq!(count_inversions(vec![1, 2, 3, 4]), 0);
+        assert_eq!(count_inversions(vec![4, 3, 2, 1]), 6);
+        assert_eq!(count_inversions(vec![2, 1, 3]), 1);
+        assert_eq!(count_inversions(vec![]), 0);
+        assert_eq!(count_inversions(vec![7]), 0);
         // Equal elements are not inversions.
-        assert_eq!(count_inversions(&[5, 5, 5]), 0);
+        assert_eq!(count_inversions(vec![5, 5, 5]), 0);
     }
 
     #[test]

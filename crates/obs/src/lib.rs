@@ -44,7 +44,7 @@ pub use metrics::{
     HistogramSnapshot, LocalHistogram, Registry, SnapshotValue,
 };
 pub use span::{
-    render_chrome_trace, validate_forest, ForestSummary, Phase, PhaseAcc, SharedPhases, Span,
-    SpanContext, SpanRecord, SpanSource,
+    render_chrome_trace, validate_forest, ForestSummary, Phase, PhaseAcc, PhaseHistograms,
+    SharedPhases, Span, SpanContext, SpanRecord, SpanSource,
 };
 pub use trace::{Recorder, SharedRecorder, TraceCategory, TraceEvent, TraceKind};

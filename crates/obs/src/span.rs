@@ -39,10 +39,10 @@
 //! million-event runs. Phase timers read the TSC-backed [`clock_ticks`]
 //! fast clock, not `Instant` — see the cost note on that function.
 
-use crate::metrics::{LocalHistogram, Registry};
+use crate::metrics::{Histogram, LocalHistogram, Registry};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Per-thread buffer size: flushing into the global vector happens at
@@ -99,13 +99,15 @@ pub fn now_micros() -> u64 {
 // Fast phase clock
 // ---------------------------------------------------------------------
 //
-// `Instant::now` goes through a vDSO call and costs ~25-35 ns; at two
-// reads per simulated event that alone is ~20% of the event loop. The
-// phase timers therefore read the CPU timestamp counter directly on
-// x86_64 (~7 ns, invariant-rate on every CPU this project targets) and
-// convert tick deltas to nanoseconds with a once-calibrated factor.
-// Other architectures fall back to `Instant`, which is merely slower,
-// not wrong.
+// `Instant::now` goes through a vDSO call and costs ~25-35 ns (~55 ns
+// measured on the 2-core reference VM); at two reads per simulated
+// event that alone is ~20% of the event loop. The phase timers
+// therefore read the CPU timestamp counter directly on x86_64
+// (invariant-rate on every CPU this project targets; ~7 ns where it is
+// read natively, 25 ns measured on that VM) and convert tick deltas to
+// nanoseconds with a fixed-point factor calibrated once. Other
+// architectures fall back to `Instant`, which is merely slower, not
+// wrong.
 
 /// An opaque reading of the fast phase clock. Only *differences* between
 /// two readings mean anything, and only after [`ticks_to_ns`].
@@ -121,12 +123,27 @@ pub fn clock_ticks() -> u64 {
     }
 }
 
-/// Convert a [`clock_ticks`] delta to nanoseconds.
+/// Fractional bits of the tick → nanosecond factor.
+#[cfg(target_arch = "x86_64")]
+const TICK_SHIFT: u32 = 32;
+
+/// Nanoseconds per tick, scaled by `2^TICK_SHIFT`; 0 until calibrated.
+/// `Relaxed` suffices: the value publishes no other data, and every
+/// thread that reads 0 calibrates through the same `OnceLock`.
+#[cfg(target_arch = "x86_64")]
+static NS_PER_TICK_FIXED: AtomicU64 = AtomicU64::new(0);
+
+/// Convert a [`clock_ticks`] delta to nanoseconds: one multiply and one
+/// shift by a factor calibrated on first use.
 #[inline]
 pub fn ticks_to_ns(dt: u64) -> u64 {
     #[cfg(target_arch = "x86_64")]
     {
-        (dt as f64 * ns_per_tick()) as u64
+        let mut factor = NS_PER_TICK_FIXED.load(Ordering::Relaxed);
+        if factor == 0 {
+            factor = calibrated_factor();
+        }
+        ((dt as u128 * factor as u128) >> TICK_SHIFT) as u64
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -139,13 +156,14 @@ pub fn ticks_to_ns(dt: u64) -> u64 {
 /// number of times; a no-op on non-x86_64.
 pub fn calibrate_clock() {
     #[cfg(target_arch = "x86_64")]
-    ns_per_tick();
+    calibrated_factor();
 }
 
 #[cfg(target_arch = "x86_64")]
-fn ns_per_tick() -> f64 {
-    static NS_PER_TICK: OnceLock<f64> = OnceLock::new();
-    *NS_PER_TICK.get_or_init(|| {
+#[cold]
+fn calibrated_factor() -> u64 {
+    static ONCE: OnceLock<u64> = OnceLock::new();
+    *ONCE.get_or_init(|| {
         // Measure the TSC against the OS monotonic clock across a short
         // sleep. The sleep's actual length is irrelevant — both clocks
         // span the same interval — it only has to be long enough that
@@ -153,10 +171,15 @@ fn ns_per_tick() -> f64 {
         let (t0, c0) = (Instant::now(), clock_ticks());
         std::thread::sleep(std::time::Duration::from_millis(2));
         let (dt, dc) = (t0.elapsed(), clock_ticks().saturating_sub(c0));
-        if dc == 0 {
-            return 1.0; // a TSC that does not advance: treat ticks as ns
-        }
-        dt.as_nanos() as f64 / dc as f64
+        // A TSC that does not advance: treat ticks as ns.
+        let ns_per_tick = if dc == 0 {
+            1.0
+        } else {
+            dt.as_nanos() as f64 / dc as f64
+        };
+        let factor = ((ns_per_tick * (1u64 << TICK_SHIFT) as f64).round() as u64).max(1);
+        NS_PER_TICK_FIXED.store(factor, Ordering::Relaxed);
+        factor
     })
 }
 
@@ -632,14 +655,29 @@ impl PhaseAcc {
     /// Absorb every non-empty phase histogram into `registry` under the
     /// `sim.phase.*` names.
     pub fn flush_into(&self, registry: &Registry) {
-        for &phase in &ALL_PHASES {
-            let h = &self.hist[phase as usize];
+        self.flush_cached(registry, &PhaseHistograms::default());
+    }
+
+    /// [`Self::flush_into`] through handles kept in `sinks`: each phase's
+    /// histogram is looked up on its first non-empty flush only, so a
+    /// long-lived owner (the daemon) takes no name-map lock and
+    /// allocates no key per run. `sinks` keeps the handles of the first
+    /// registry it meets; pass it the same registry every time.
+    pub fn flush_cached(&self, registry: &Registry, sinks: &PhaseHistograms) {
+        for ((h, sink), phase) in self.hist.iter().zip(&sinks.0).zip(ALL_PHASES) {
             if h.count() > 0 {
-                registry.histogram(phase.metric()).absorb(&h.snapshot());
+                sink.get_or_init(|| registry.histogram(phase.metric()))
+                    .absorb(&h.snapshot());
             }
         }
     }
 }
+
+/// Handles to one registry's `sim.phase.*` histograms, in [`Phase`]
+/// index order, each bound at its phase's first non-empty flush (so
+/// empty phases still register nothing). See [`PhaseAcc::flush_cached`].
+#[derive(Debug, Default)]
+pub struct PhaseHistograms([OnceLock<Arc<Histogram>>; PHASE_COUNT]);
 
 /// A [`PhaseAcc`] shared between the driver and the schedulers, mirroring
 /// [`SharedRecorder`](crate::trace::SharedRecorder).

@@ -4,24 +4,25 @@
 //! simulation on every CLI invocation. This crate keeps a simulator
 //! resident instead: the `bfsimd` daemon accepts
 //! [`RunConfig`](backfill_sim::RunConfig)s as
-//! JSON lines over localhost TCP, executes them on a bounded worker
-//! pool, and memoizes every completed report in a content-addressed
+//! JSON lines over localhost TCP, simulates them on the connection's
+//! own thread under a bounded permit pool, and memoizes every completed report in a content-addressed
 //! cache — so any config the daemon has seen before is answered in
 //! microseconds, byte-identical to the fresh run.
 //!
 //! The service layer is built to survive a hostile world — see
 //! DESIGN.md §13. Sockets carry deadlines, oversized frames are shed
 //! with structured errors, a full queue answers `Busy` instead of
-//! blocking, workers survive panics, the cache can journal to disk and
-//! replay after a crash, and a deterministic [`fault`] plan can inject
-//! panics / drops / corruption / latency for reproducible chaos tests.
+//! blocking, a panicking run leaves the daemon serving, the cache can
+//! journal to disk and replay after a crash, and a deterministic
+//! [`fault`] plan can inject panics / drops / corruption / latency for
+//! reproducible chaos tests.
 //!
 //! Crate map:
 //!
 //! * [`protocol`] — request/response message types (shared serde data);
-//! * [`pool`] — bounded worker pool: shedding via `try_submit`,
-//!   per-task panic isolation (worker-level `catch_unwind` plus
-//!   `backfill_sim::run_cell`'s inner boundary);
+//! * [`pool`] — permit gate bounding concurrent simulations: shedding
+//!   once `queue_cap` submits wait, per-run panic isolation (the pool's
+//!   `catch_unwind` plus `backfill_sim::run_cell`'s inner boundary);
 //! * [`cache`] — result memoization keyed by canonical config JSON,
 //!   optionally crash-recoverable via an append-only JSONL journal;
 //! * [`fault`] — seedable deterministic fault injection plans;
@@ -63,7 +64,7 @@ pub mod tracecache;
 pub use cache::{JournalReplay, Lookup, ResultCache};
 pub use client::{Backoff, Client, ClientError, ClientOptions, ResilientClient, RetryPolicy};
 pub use fault::{FaultActions, FaultInjector, FaultPlan};
-pub use pool::{SubmitError, Task, TaskResult, WorkerPool};
+pub use pool::{Pool, Ran, RunError};
 pub use protocol::{
     Capabilities, HealthReport, JournalHealth, Request, Response, RunReply, RunReport,
     ServiceStats, TraceContext, WireSpan, PROTO_VERSION,

@@ -172,7 +172,7 @@ pub enum Response {
     /// Acknowledges [`Request::Drain`]: the daemon refuses new submits
     /// from here on but stays alive for introspection verbs.
     Draining,
-    /// The bounded work queue is full and the daemon shed this request
+    /// The permit queue is full and the daemon shed this request
     /// rather than block the connection. The submission had **no
     /// effect** (nothing queued, nothing cached): resubmitting the same
     /// config later is safe and idempotent, which is what lets clients
@@ -206,13 +206,13 @@ pub struct HealthReport {
     pub ready: bool,
     /// True once graceful shutdown has begun.
     pub draining: bool,
-    /// Configured worker-thread count.
+    /// Configured simulation permits (`--workers`).
     pub workers: u64,
-    /// Configured bounded-queue capacity.
+    /// Configured cap on submits waiting for a permit (`--queue`).
     pub queue_cap: u64,
-    /// Tasks waiting in the queue right now.
+    /// Submits waiting for a permit right now.
     pub queue_depth: u64,
-    /// Tasks being simulated right now.
+    /// Submits being simulated right now.
     pub in_flight: u64,
     /// Submissions shed with [`Response::Busy`] so far.
     pub shed: u64,
@@ -250,7 +250,7 @@ pub struct JournalHealth {
 /// The daemon's sizing handshake, answering [`Request::Capabilities`].
 ///
 /// A sweep coordinator uses this to size its bounded in-flight window
-/// per shard (one outstanding submit per daemon worker keeps the pool
+/// per shard (one outstanding submit per daemon permit keeps the pool
 /// busy without tripping `Busy` shedding) and to refuse incompatible
 /// daemons up front instead of mid-sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -259,10 +259,10 @@ pub struct Capabilities {
     /// added or changes meaning; coordinators require at least the
     /// revision they were built against.
     pub proto: u32,
-    /// Simulation worker threads (the natural in-flight window).
+    /// Simulation permits (the natural in-flight window).
     pub workers: u64,
-    /// Bounded work-queue capacity (submits past `workers + queue_cap`
-    /// would be shed with `Busy`).
+    /// Cap on submits waiting for a permit (submits past `workers +
+    /// queue_cap` would be shed with `Busy`).
     pub queue_cap: u64,
     /// Largest accepted request frame in bytes.
     pub max_frame: u64,
@@ -289,7 +289,7 @@ pub struct RunReply {
     /// (and `wall_ms`) distinguish a hit from a fresh run.
     pub cached: bool,
     /// Wall time the daemon spent serving this request, in milliseconds
-    /// (queue wait + simulation for a miss; lookup only for a hit).
+    /// (permit wait + simulation for a miss; lookup only for a hit).
     pub wall_ms: u64,
     /// The simulation report.
     pub report: RunReport,
@@ -370,9 +370,9 @@ pub struct ServiceStats {
     pub cache_entries: u64,
     /// Entries evicted to stay under the configured cache cap (LRU).
     pub cache_evictions: u64,
-    /// Tasks waiting in the bounded work queue right now.
+    /// Submits waiting for a simulation permit right now.
     pub queue_depth: u64,
-    /// Tasks being simulated by workers right now.
+    /// Submits being simulated right now (permits held).
     pub in_flight: u64,
     /// True once graceful shutdown has begun.
     pub draining: bool,

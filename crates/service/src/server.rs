@@ -1,7 +1,9 @@
 //! The resident simulation daemon.
 //!
 //! One accept loop, one handler thread per connection, one shared
-//! [`WorkerPool`] and [`ResultCache`]. Connections speak the JSON-lines
+//! [`Pool`] and [`ResultCache`]. A handler serves a cache miss by
+//! simulating on its own thread under one of the pool's permits; there
+//! are no worker threads to hand work to. Connections speak the JSON-lines
 //! protocol from [`crate::protocol`]: the handler reads a line, serves
 //! it, writes exactly one response line, and flushes before reading the
 //! next — so responses are always in request order per connection.
@@ -13,7 +15,7 @@
 //! of pinning its handler thread forever), request frames are capped at
 //! [`ServiceConfig::max_frame`] bytes (an oversized line is discarded
 //! and answered with a structured error — it is **not** buffered), and
-//! when the bounded work queue is full a `Submit` is shed with
+//! when the bounded permit queue is full a `Submit` is shed with
 //! [`Response::Busy`] instead of blocking the handler. Shedding keeps
 //! the accept path responsive under overload and gives well-behaved
 //! clients an explicit, retryable signal.
@@ -22,8 +24,8 @@
 //!
 //! With [`ServiceConfig::fault_plan`] set, each accepted `Submit` claims
 //! a deterministic index from a [`FaultInjector`] and suffers whatever
-//! the plan prescribes: `panic`/`delay` ride into the worker with the
-//! task, `drop`/`corrupt` are applied by the connection handler to the
+//! the plan prescribes: `panic`/`delay` apply once the run holds its
+//! permit, `drop`/`corrupt` are applied by the connection handler to the
 //! response frame. See `crate::fault` for the spec grammar and
 //! determinism guarantees. Disabled (the default), the only cost is one
 //! `Option` check per submit.
@@ -31,17 +33,18 @@
 //! # Shutdown sequence
 //!
 //! 1. Any connection sends [`Request::Shutdown`]; the daemon sets the
-//!    `draining` flag and acknowledges with `ShuttingDown`.
+//!    `draining` flag and acknowledges with `ShuttingDown`. The
+//!    acknowledgement itself holds a `pending` slot until it is flushed.
 //! 2. New `Submit`s now answer `ShuttingDown` without entering the pool.
 //! 3. The accept loop keeps polling until `pending` — the count of
 //!    submits between acceptance and response flush — reaches zero, so
 //!    every request already in the pipeline still gets its response.
-//! 4. The loop exits, the pool's queue closes, workers finish what they
-//!    hold and join. `ServerHandle::join` then returns.
+//! 4. The loop exits and the pool closes, waiting for any run still
+//!    holding or awaiting a permit. `ServerHandle::join` then returns.
 
 use crate::cache::{Lookup, ResultCache};
 use crate::fault::{FaultActions, FaultInjector, FaultPlan};
-use crate::pool::{SubmitError, Task, WorkerPool};
+use crate::pool::{Pool, RunError};
 use crate::protocol::{
     Capabilities, HealthReport, Request, Response, RunReply, RunReport, ServiceStats, PROTO_VERSION,
 };
@@ -51,7 +54,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,11 +64,12 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Daemon sizing and hardening knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Simulation worker threads. More workers = more concurrent
-    /// scenarios; each holds one materialized trace plus one schedule.
+    /// Simulation permits: how many connection handlers may simulate at
+    /// once. Each running simulation holds one materialized trace plus
+    /// one schedule.
     pub workers: usize,
-    /// Bounded work-queue capacity. When this many tasks wait, further
-    /// submits are shed with [`Response::Busy`].
+    /// How many submits may wait for a permit. When this many wait,
+    /// further submits are shed with [`Response::Busy`].
     pub queue_cap: usize,
     /// Result-cache entry cap; past it the least-recently-used report
     /// is evicted on insert.
@@ -89,8 +93,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        // One worker per core (min 2), and a queue twice the worker
-        // count: deep enough to keep workers fed across request bursts,
+        // One permit per core (min 2), and a queue twice the permit
+        // count: deep enough to keep every permit busy across bursts,
         // shallow enough that memory for queued configs stays trivial
         // and shedding engages before the daemon hoards work.
         let workers = std::thread::available_parallelism()
@@ -122,7 +126,7 @@ impl Default for ServiceConfig {
 /// name-map lock.
 struct Inner {
     cfg: ServiceConfig,
-    pool: WorkerPool,
+    pool: Pool,
     cache: ResultCache,
     fault: Option<FaultInjector>,
     draining: AtomicBool,
@@ -130,7 +134,8 @@ struct Inner {
     /// the introspection verbs (unlike `draining`, the accept loop does
     /// not exit).
     refusing: AtomicBool,
-    /// Submits between acceptance and response flush; the drain gate.
+    /// Submits (and `Shutdown` acknowledgements) between acceptance and
+    /// response flush; the drain gate.
     pending: AtomicUsize,
     registry: Registry,
     submitted: Arc<Counter>,
@@ -154,9 +159,13 @@ struct Inner {
     wall_ms_max: AtomicU64,
     /// Per-request service latency (`service.wall_ms`).
     wall_ms: Arc<Histogram>,
-    /// Per-task simulation time as measured by the worker
-    /// (`service.pool.run_wall_ms`), excluding queue wait.
+    /// Per-run simulation time (`service.pool.run_wall_ms`), excluding
+    /// the permit wait.
     run_wall_ms: Arc<Histogram>,
+    /// Handles to `registry`'s `sim.*` run counters and `sim.phase.*`
+    /// histograms, bound at the first run that flushes into them.
+    sim: OnceLock<backfill_sim::SimCounters>,
+    phases: obs::PhaseHistograms,
 }
 
 impl Inner {
@@ -195,7 +204,7 @@ impl Inner {
             obs::warn!(target: "service::fault", "fault injection ACTIVE: {plan}");
         }
         Ok(Inner {
-            pool: WorkerPool::with_trace_cache(cfg.workers.max(1), cfg.queue_cap.max(1), traces),
+            pool: Pool::with_trace_cache(cfg.workers.max(1), cfg.queue_cap.max(1), traces),
             cache,
             fault: fault.map(FaultInjector::new),
             draining: AtomicBool::new(false),
@@ -217,6 +226,8 @@ impl Inner {
             wall_ms_max: AtomicU64::new(0),
             wall_ms: registry.histogram("service.wall_ms"),
             run_wall_ms: registry.histogram("service.pool.run_wall_ms"),
+            sim: OnceLock::new(),
+            phases: obs::PhaseHistograms::default(),
             registry,
             cfg,
         })
@@ -226,10 +237,10 @@ impl Inner {
     ///
     /// Read order is load-bearing: everything a submit can *become*
     /// (completed / failed / rejected / shed / in-flight) is read
-    /// **before** `submitted`. A worker also stops counting a task as
-    /// in-flight before its reply is observable (see `pool.rs`), so a
+    /// **before** `submitted`. A run also frees its permit before the
+    /// handler counts it completed or failed (see `pool.rs`), so a
     /// snapshot can never show `completed + failed + in_flight >
-    /// submitted` — a task caught mid-transition is simply not counted
+    /// submitted` — a submit caught mid-transition is simply not counted
     /// anywhere yet, and reading `submitted` last only ever makes the
     /// right-hand side larger.
     fn snapshot(&self) -> ServiceStats {
@@ -409,9 +420,8 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             Err(_) => break,
         }
     }
-    // Close the queue and wait for workers; everything still queued was
-    // counted in `pending`, so its handlers get replies before this
-    // point could be reached only via the drain gate above.
+    // Close the pool. Every admitted submit was counted in `pending`, so
+    // the drain gate above already waited for its reply.
     inner.pool.shutdown();
 }
 
@@ -486,7 +496,8 @@ enum WireFault {
 struct Served {
     response: Response,
     /// True when this request holds a `pending` slot that the handler
-    /// must release after the response flush (tracked `Submit`s only).
+    /// must release after the response flush (tracked `Submit`s and the
+    /// `Shutdown` acknowledgement).
     gates_drain: bool,
     wire: WireFault,
 }
@@ -595,9 +606,9 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
     }
 }
 
-/// Serve one request. A tracked `Submit` increments `pending` here and
-/// the connection handler decrements it after the response flush (or
-/// after an injected drop).
+/// Serve one request. A tracked `Submit` (and a `Shutdown`) increments
+/// `pending` here and the connection handler decrements it after the
+/// response flush (or after an injected drop).
 fn serve(request: Request, inner: &Inner) -> Served {
     match request {
         Request::Submit { config, trace } => {
@@ -649,7 +660,7 @@ fn serve(request: Request, inner: &Inner) -> Served {
                     return Served::plain(response);
                 }
                 Response::Busy => {
-                    // Shed: nothing queued, nothing owed; release the
+                    // Shed: nothing run, nothing owed; release the
                     // drain slot but still honor wire faults so `Busy`
                     // under chaos behaves like any other frame.
                     inner.pending.fetch_sub(1, Ordering::SeqCst);
@@ -713,8 +724,17 @@ fn serve(request: Request, inner: &Inner) -> Served {
             Served::plain(Response::Draining)
         }
         Request::Shutdown => {
+            // The acknowledgement holds a drain slot until it is flushed
+            // (taken before `draining` is set), so the accept loop — and
+            // with it the daemon process — cannot end before the
+            // requester has its answer.
+            inner.pending.fetch_add(1, Ordering::SeqCst);
             inner.draining.store(true, Ordering::SeqCst);
-            Served::plain(Response::ShuttingDown)
+            Served {
+                response: Response::ShuttingDown,
+                gates_drain: true,
+                wire: WireFault::None,
+            }
         }
     }
 }
@@ -739,8 +759,8 @@ fn serve_submit(
     let canonical = config.canonical_json();
     match inner.cache.lookup(&canonical) {
         Lookup::Hit { hash, report } => {
-            // `panic`/`delay` act inside a worker; a hit never reaches
-            // one, so only the wire-level faults (handled by the
+            // `panic`/`delay` act under a pool permit; a hit never
+            // takes one, so only the wire-level faults (handled by the
             // connection handler) apply here.
             if let Some(trace) = trace {
                 drop(obs::Span::child(trace.ctx(), "cache.hit"));
@@ -758,17 +778,16 @@ fn serve_submit(
         }
         Lookup::Miss { hash } => {
             let miss_span = trace.map(|t| obs::Span::child(t.ctx(), "cache.miss"));
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let task = Task {
-                config,
-                trace: trace.map(|t| t.ctx()),
-                accepted: Instant::now(),
-                reply: reply_tx,
-                fault: actions,
-            };
-            match inner.pool.try_submit(task) {
-                Ok(()) => {}
-                Err(SubmitError::Full(_)) => {
+            let ran = inner.pool.run(config, actions, trace.map(|t| t.ctx()));
+            // The miss span covers permit wait + run; end it before the
+            // outcome branches so crash paths keep a well-formed tree.
+            drop(miss_span);
+            if trace.is_some() {
+                obs::span::flush_thread();
+            }
+            let result = match ran {
+                Ok(result) => result,
+                Err(RunError::Full) => {
                     inner.shed.inc();
                     obs::warn!(
                         target: "service::server",
@@ -778,24 +797,10 @@ fn serve_submit(
                     );
                     return Response::Busy;
                 }
-                Err(SubmitError::Closed(_)) => return Response::ShuttingDown,
-            }
-            let recv = reply_rx.recv();
-            // The miss span covers queue wait + run; end it before the
-            // outcome branches so crash paths keep a well-formed tree.
-            drop(miss_span);
-            if trace.is_some() {
-                obs::span::flush_thread();
-            }
-            let result = match recv {
-                Ok(result) => result,
-                Err(_) => {
-                    // The worker dropped the reply without sending: it
-                    // panicked outside the simulation boundary (e.g. an
-                    // injected fault). The pool cannot have been torn
-                    // down — this handler still holds a `pending` slot,
-                    // which blocks the drain gate — so the crash is the
-                    // only explanation, and a retry may well succeed.
+                Err(RunError::Closed) => return Response::ShuttingDown,
+                Err(RunError::Crashed) => {
+                    // The run panicked outside the simulation boundary
+                    // (e.g. an injected fault); a retry may well succeed.
                     inner.failed.inc();
                     obs::warn!(
                         target: "service::server",
@@ -816,7 +821,7 @@ fn serve_submit(
             // Fold the run's per-phase timing into the daemon registry so
             // `metrics`/`metrics --format prom` expose sim self-profiling.
             if let Some(phases) = &result.phases {
-                phases.flush_into(&inner.registry);
+                phases.flush_cached(&inner.registry, &inner.phases);
             }
             match result.outcome {
                 Ok(schedule) => {
@@ -824,11 +829,10 @@ fn serve_submit(
                     // Mirror the run's scheduler-internal counters into
                     // the daemon registry so the `metrics` verb covers
                     // the sim core, not just the service shell.
-                    if let Some(stats) = &report.profile {
-                        backfill_sim::flush_profile_stats(&inner.registry, stats);
-                    }
-                    inner.registry.counter("sim.runs").inc();
-                    inner.registry.counter("sim.events").add(report.events);
+                    inner
+                        .sim
+                        .get_or_init(|| backfill_sim::SimCounters::bind(&inner.registry))
+                        .record(report.events, report.profile.as_ref());
                     inner.cache.insert(canonical, report.clone());
                     inner.completed.inc();
                     Response::Run(RunReply {

@@ -8,8 +8,9 @@
 //!    completed run).
 //! 2. The `Stats` snapshot never violates the accounting invariant
 //!    `submitted >= completed + failed + in_flight` while submits are
-//!    racing the probe — the regression the worker-pool decrement
-//!    reorder and the documented snapshot read order exist to prevent.
+//!    racing the probe — the regression the pool's free-the-permit-
+//!    before-counting-completed order and the documented snapshot read
+//!    order exist to prevent.
 
 use backfill_sim::{RunConfig, Scenario, SchedulerKind, TraceSource};
 use sched::Policy;
@@ -161,6 +162,75 @@ fn stats_invariant_holds_under_concurrent_submits() {
     let final_stats = client.stats().expect("stats");
     assert_eq!(final_stats.completed, configs.len() as u64);
     assert_eq!(final_stats.in_flight, 0);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn in_flight_never_exceeds_workers_under_concurrent_connections() {
+    // Eight connections submit at once against two permits; each run is
+    // held 40 ms by an injected delay, so the permits stay contended for
+    // the whole batch. A probe connection polls `health` throughout and
+    // must never see more runs in flight than permits, nor more waiters
+    // than the queue admits.
+    const WORKERS: usize = 2;
+    let handle = Server::start(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: WORKERS,
+            queue_cap: 8,
+            fault_plan: Some(service::FaultPlan::parse("delay@0..8=40ms").unwrap()),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("start daemon");
+    let addr = handle.addr();
+    let configs: Vec<RunConfig> = (0..8).map(config).collect();
+    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(configs.len() + 1);
+
+    let peak = std::thread::scope(|scope| {
+        let submitters: Vec<_> = configs
+            .iter()
+            .map(|cfg| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    barrier.wait();
+                    client.submit(cfg).expect("submit")
+                })
+            })
+            .collect();
+        let done = &done;
+        let barrier = &barrier;
+        let probe = scope.spawn(move || {
+            let mut client = Client::connect(addr).expect("connect probe");
+            barrier.wait();
+            let mut peak = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                let h = client.health().expect("health");
+                assert!(
+                    h.in_flight <= WORKERS as u64,
+                    "{} runs in flight with {WORKERS} permits",
+                    h.in_flight
+                );
+                assert!(h.queue_depth <= h.queue_cap, "queue over its cap");
+                peak = peak.max(h.in_flight);
+            }
+            peak
+        });
+        for submitter in submitters {
+            assert!(!submitter.join().unwrap().cached);
+        }
+        done.store(true, Ordering::SeqCst);
+        probe.join().unwrap()
+    });
+    assert_eq!(peak, WORKERS as u64, "the permits were never all in use");
+
+    let mut client = Client::connect(addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.completed, stats.shed), (configs.len() as u64, 0));
+    assert_eq!((stats.in_flight, stats.queue_depth), (0, 0));
     client.shutdown().expect("shutdown");
     handle.join();
 }
